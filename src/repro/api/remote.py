@@ -10,13 +10,13 @@ collection (provision them with
 :class:`~repro.api.client.Client` per server is opened lazily and reused;
 a fan-out submits every shard's sub-query first and only then collects, so
 the shards compute concurrently — across *machines*, which is what lifts
-the GIL ceiling the thread executor cannot::
+the GIL ceiling one process cannot::
 
     ShardedIndex             RemoteShardExecutor          shard servers
     range_query(q, θ) ──►  submit q to every server ──►  [0] range over shard 0
          merge       ◄──   collect by request id   ◄──   [1] range over shard 1
 
-Answers are identical to the local executors' because each shard server
+Answers are identical to the local fan-out's because each shard server
 runs the very same per-shard computation (a range query, or an exact local
 top-k via the k-NN request) on the very same shard data, and local ids
 inside a round-robin shard agree between coordinator and server.

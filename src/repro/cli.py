@@ -165,13 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--cache-capacity", type=int, default=1024, help="result-cache entries")
     batch.add_argument("--no-cache", action="store_true", help="disable the result cache")
     batch.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="fan-out backend for the shards (process = real CPU parallelism)",
-    )
-    batch.add_argument(
         "--remote-shards", default=None,
         help="comma-separated host:port shard servers (protocol v2); overrides"
-        " --shards/--executor and fans sub-queries out over the network",
+        " --shards and fans sub-queries out over the network",
     )
     batch.add_argument(
         "--remote-collection", default="default",
@@ -534,7 +530,6 @@ def _command_batch_query(args: argparse.Namespace) -> int:
     queries = sample_queries(rankings, args.queries, seed=args.seed)
     algorithms = None if args.algorithm is None else [args.algorithm]
     capacity = 0 if args.no_cache else args.cache_capacity
-    executor = args.executor
     remote = None
     num_shards = args.shards
     if args.remote_shards is not None:
@@ -551,7 +546,6 @@ def _command_batch_query(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        executor = remote
         num_shards = len(addresses)
         print(
             f"fanning out to {num_shards} remote shard server(s)"
@@ -560,7 +554,7 @@ def _command_batch_query(args: argparse.Namespace) -> int:
         )
     try:
         return _serve_batch_workload(args, rankings, queries, algorithms, capacity,
-                                     num_shards, executor)
+                                     num_shards, remote)
     except (ConnectionError, TimeoutError) as error:
         print(f"error: remote shard fan-out failed: {error}", file=sys.stderr)
         return 1

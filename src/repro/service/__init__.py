@@ -2,7 +2,7 @@
 
 The algorithm modules answer one query against one monolithic index.  This
 package turns them into a *service*: the collection is partitioned over
-shards that are searched concurrently, an adaptive planner picks the
+shards whose answers merge exactly, an adaptive planner picks the
 algorithm (and its parameters) per query, and answers are memoised in an LRU
 result cache.  The :class:`QueryEngine` ties the three together behind a
 small request API (``query`` / ``batch_query`` / ``knn``) that reports
@@ -12,7 +12,7 @@ Layering (each module only depends on the ones above it)::
 
     cache.py     LRU result cache keyed on normalised query fingerprints
     recording.py per-request/lifetime stats + the shared cached request flow
-    sharding.py  partitioned collection + concurrent fan-out / bounded merge
+    sharding.py  partitioned collection + fan-out / bounded merge
     planner.py   cost-model priors + runtime EWMAs -> per-query plan
     engine.py    request layer: cache -> planner -> shards
 

@@ -8,7 +8,7 @@ entry points:
 
 ``query(query, theta)``
     One similarity range query.  Cache lookup first; on a miss the planner
-    picks the algorithm, the shards answer concurrently, the observation
+    picks the algorithm, every shard answers, the observation
     feeds the planner, and the answer is cached.
 ``batch_query(queries, theta)``
     A batch of range queries, answered through the same path (duplicate
@@ -72,10 +72,9 @@ class QueryEngine:
     cache_capacity:
         LRU capacity; ``0`` disables result caching.
     executor:
-        Fan-out backend for the sharded index: ``"thread"`` (default),
-        ``"process"`` for real CPU parallelism, or a
-        :class:`~repro.api.remote.RemoteShardExecutor` to fan sub-queries
-        out to shard servers (see :mod:`repro.service.sharding`).
+        ``None`` (default) searches the shards in the calling thread; a
+        :class:`~repro.api.remote.RemoteShardExecutor` fans sub-queries
+        out to shard servers instead (see :mod:`repro.service.sharding`).
     planner / cache / sharded:
         Pre-built components, for tests and custom deployments.
 
@@ -97,7 +96,7 @@ class QueryEngine:
         num_shards: int = 1,
         algorithms: Optional[list[str]] = None,
         cache_capacity: int = 1024,
-        executor: ExecutorSpec = "thread",
+        executor: ExecutorSpec = None,
         planner: Optional[AdaptivePlanner] = None,
         cache: Optional[LRUResultCache] = None,
         sharded: Optional[ShardedIndex] = None,
@@ -155,7 +154,7 @@ class QueryEngine:
         self._recorder.count_rebuild()
 
     def close(self) -> None:
-        """Release the fan-out thread pool."""
+        """Close the sharded index (which owns nothing; kept for ``with``)."""
         self._sharded.close()
 
     def __enter__(self) -> "QueryEngine":

@@ -9,8 +9,8 @@ without sharding.
 
 Any registered algorithm can serve as the per-shard index: instances are
 built lazily (per shard, per parameter set) through the algorithm registry
-and kept until the next :meth:`ShardedIndex.rebuild`.  Queries fan out over
-an **executor**, one task per shard, and the per-shard answers are merged:
+and kept until the next :meth:`ShardedIndex.rebuild`.  A query visits every
+shard and the per-shard answers are merged:
 
 * **range queries** concatenate the per-shard matches (shards are disjoint,
   so no deduplication is needed) and re-sort by distance;
@@ -22,53 +22,35 @@ Both merges are exact: the sharded answer equals the single-index answer for
 every query, which the property tests in ``tests/test_service_sharding.py``
 assert across algorithms, datasets, and shard counts.
 
-Executors
----------
+Fan-out
+-------
 Every per-shard sub-query reduces to the same shape — a list of
-``(local rid, distance)`` pairs plus its stats — which is what makes the
-execution backend pluggable.  ``executor=`` picks it:
+``(local rid, distance)`` pairs plus its stats.  Locally the shards are
+visited one after the other in the calling thread: distance evaluation is
+pure Python and holds the GIL, so threads could not overlap it.
+Concurrency comes from the callers — any number of threads may query one
+index at once.
 
-``"thread"`` (default)
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Pure-Python
-    distance evaluation holds the GIL, so this buys the architecture
-    (bounded merges, per-shard builds) rather than CPU parallelism.
-``"process"``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` whose workers hold
-    the shard data (shipped once per partitioning epoch through the pool
-    initializer) and cache per-shard index instances.  This is real CPU
-    parallelism for local serving; shard data and algorithm parameters
-    must be picklable, which is guarded with a clear error up front.
-``RemoteShardExecutor``
-    Any object with ``range_shards`` / ``knn_shards`` — notably
-    :class:`repro.api.remote.RemoteShardExecutor`, which fans the
-    sub-queries out to *shard servers* speaking protocol v2 and turns the
-    single-process index into a scale-out one.  Tuning-only keyword
-    parameters (e.g. ``theta_c``) are not shipped — every registered
-    algorithm is exact, so remote answers are still identical; the shard
-    servers pick their own tuning.
+``executor=`` is the remote seam: any object with ``range_shards`` /
+``knn_shards`` — notably :class:`repro.api.remote.RemoteShardExecutor`,
+which fans the sub-queries out to *shard servers* speaking protocol v2 and
+turns the single-process index into a scale-out (and multi-core) one.
+Tuning-only keyword parameters (e.g. ``theta_c``) are not shipped — every
+registered algorithm is exact, so remote answers are still identical; the
+shard servers pick their own tuning.
 
 Rebuilds are safe under concurrent queries: each partitioning epoch is an
-immutable :class:`_Build` snapshot, every query pins the snapshot it started
-on, and executors are swapped under the lock but shut down outside it.  A
-process pool is bound to the epoch whose shards its workers hold; a query
-that pinned an older epoch (racing a rebuild) falls back to computing its
-shards serially in-process, which is always correct.
+immutable :class:`_Build` snapshot and every query pins the snapshot it
+started on.
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from repro.core.ranking import Ranking, RankingSet
 from repro.core.result import SearchResult
@@ -84,8 +66,9 @@ from repro.obs.tracing import record_span, trace_span
 #: ``(local rid, distance)``, k-NN pairs are ``(distance, local rid)``.
 ShardAnswer = tuple[list[tuple], SearchStats]
 
-#: What the ``executor`` parameter accepts.
-ExecutorSpec = Union[str, "RemoteExecutorLike"]
+#: What the ``executor`` parameter accepts: ``None`` visits the shards in
+#: the calling thread, anything else must be a remote shard executor.
+ExecutorSpec = Optional["RemoteExecutorLike"]
 
 
 class RemoteExecutorLike:
@@ -159,54 +142,6 @@ def partition_rankings(rankings: RankingSet, num_shards: int) -> list[RankingSet
     )
 
 
-# -- process-pool workers (module level: they must be picklable by name) -------------
-
-#: Per-worker state installed by the pool initializer: the epoch's shards
-#: plus a cache of per-(shard, algorithm, params) index instances.
-_WORKER_STATE: dict = {}
-
-
-def _process_pool_init(version: int, shards: tuple[RankingSet, ...]) -> None:
-    _WORKER_STATE["version"] = version
-    _WORKER_STATE["shards"] = shards
-    _WORKER_STATE["instances"] = {}
-
-
-def _worker_instance(shard: int, name: str, kwargs_items: tuple) -> RankingSearchAlgorithm:
-    instances = _WORKER_STATE["instances"]
-    key = (shard, name, kwargs_items)
-    instance = instances.get(key)
-    if instance is None:
-        instance = make_algorithm(name, _WORKER_STATE["shards"][shard], **dict(kwargs_items))
-        instances[key] = instance
-    return instance
-
-
-def _process_range_task(
-    shard: int, name: str, kwargs_items: tuple, items: tuple[int, ...], theta: float
-) -> ShardAnswer:
-    instance = _worker_instance(shard, name, kwargs_items)
-    result = instance.search(Ranking(items), theta)
-    return [(match.rid, match.distance) for match in result.matches], result.stats
-
-
-def _process_knn_task(
-    shard: int,
-    name: str,
-    kwargs_items: tuple,
-    items: tuple[int, ...],
-    n_neighbours: int,
-    initial_theta: float,
-    growth: float,
-) -> ShardAnswer:
-    instance = _worker_instance(shard, name, kwargs_items)
-    top, stats = exact_local_top(
-        instance, _WORKER_STATE["shards"][shard], Ranking(items), n_neighbours,
-        initial_theta=initial_theta, growth=growth,
-    )
-    return top, stats
-
-
 class ShardedIndex:
     """A ranking collection partitioned over shards, queried by fan-out.
 
@@ -217,10 +152,11 @@ class ShardedIndex:
         (id-bearing) ranking objects.
     num_shards:
         Number of partitions; must be positive.  One shard degenerates to
-        the single-index case and skips the executor entirely.
+        the single-index case.
     executor:
-        ``"thread"`` (default), ``"process"``, or a remote shard executor —
-        see the module docstring.  Remote executors are *not* owned by the
+        ``None`` (default) visits the shards in the calling thread; a remote
+        shard executor sends the sub-queries to shard servers instead — see
+        the module docstring.  Remote executors are *not* owned by the
         index: :meth:`close` leaves them open for reuse.
 
     Examples
@@ -236,7 +172,7 @@ class ShardedIndex:
         self,
         rankings: RankingSet,
         num_shards: int = 1,
-        executor: ExecutorSpec = "thread",
+        executor: ExecutorSpec = None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
@@ -244,59 +180,29 @@ class ShardedIndex:
             raise ValueError("cannot shard an empty collection")
         self._rankings = rankings
         self._lock = threading.Lock()
-        self._closed = False
         self._registry = get_registry()
         self._m_shard_latency: dict[int, object] = {}
-        self._executor: Optional[Executor] = None
-        self._executor_version = -1  # the epoch a process pool's workers hold
         self._instances: dict[tuple, RankingSearchAlgorithm] = {}
         self._build_state = _partition_round_robin(
             rankings, min(num_shards, len(rankings)), version=0
         )
-        self._remote: Optional[RemoteExecutorLike] = None
-        if isinstance(executor, str):
-            if executor not in ("thread", "process"):
-                raise ValueError(
-                    f"executor must be 'thread', 'process', or a remote shard executor, "
-                    f"got {executor!r}"
-                )
-            self._executor_kind = executor
-            if executor == "process":
-                self._check_picklable(self._build_state)
-        elif hasattr(executor, "range_shards") and hasattr(executor, "knn_shards"):
-            self._executor_kind = "remote"
-            self._remote = executor
-        else:
+        if executor is not None and not (
+            hasattr(executor, "range_shards") and hasattr(executor, "knn_shards")
+        ):
             raise ValueError(
-                f"executor must be 'thread', 'process', or an object with "
-                f"range_shards/knn_shards (e.g. repro.api.remote.RemoteShardExecutor), "
-                f"got {type(executor).__name__}"
+                "executor must be None (local shards run in the calling thread) or an"
+                f" object with range_shards/knn_shards, got {executor!r}; the 'thread'"
+                " and 'process' pools were removed - for multi-core serving point a"
+                " repro.api.remote.RemoteShardExecutor at shard servers"
             )
+        self._remote: Optional[RemoteExecutorLike] = executor
 
     @classmethod
     def build(
-        cls, rankings: RankingSet, num_shards: int = 1, executor: ExecutorSpec = "thread"
+        cls, rankings: RankingSet, num_shards: int = 1, executor: ExecutorSpec = None
     ) -> "ShardedIndex":
         """Partition ``rankings``; per-shard indices are built lazily per algorithm."""
         return cls(rankings, num_shards=num_shards, executor=executor)
-
-    @staticmethod
-    def _check_picklable(build: _Build) -> None:
-        """The clear up-front failure for ``executor='process'``.
-
-        Shard data crosses the process boundary once per epoch (through the
-        pool initializer); anything unpicklable in it would otherwise fail
-        deep inside ``concurrent.futures`` on the first query.
-        """
-        try:
-            pickle.dumps(build.shards)
-        except Exception as error:
-            raise ValueError(
-                "executor='process' requires picklable shard data (the shards are"
-                " shipped to worker processes once per partitioning epoch), but"
-                f" pickling failed: {error!r}. Use executor='thread' for"
-                " unpicklable collections."
-            ) from error
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -322,64 +228,12 @@ class ShardedIndex:
             self._instances = {
                 key: value for key, value in self._instances.items() if key[0] == version
             }
-            executor, self._executor = self._executor, None
-            self._executor_version = -1
-        if executor is not None:  # shut down OUTSIDE the lock: tasks may need it
-            executor.shutdown(wait=True)
-
-    def use_executor(self, executor: ExecutorSpec) -> None:
-        """Swap the fan-out backend at runtime, keeping the shards.
-
-        The cluster layer reshapes topologies while indexes stay up —
-        failover promotes replicas, resharding moves servers — and this is
-        how a long-lived index follows: point it at a fresh
-        :class:`~repro.api.remote.RemoteShardExecutor` over the new
-        addresses (or drop back to ``"thread"``/``"process"``) without
-        repartitioning.  In-flight fan-outs finish on the backend they
-        started with; remote executors are caller-owned and never shut
-        down here.
-        """
-        remote: Optional[RemoteExecutorLike] = None
-        if isinstance(executor, str):
-            if executor not in ("thread", "process"):
-                raise ValueError(
-                    f"executor must be 'thread', 'process', or a remote shard executor, "
-                    f"got {executor!r}"
-                )
-            kind = executor
-            if executor == "process":
-                self._check_picklable(self._current_build())
-        elif hasattr(executor, "range_shards") and hasattr(executor, "knn_shards"):
-            kind = "remote"
-            remote = executor
-        else:
-            raise ValueError(
-                f"executor must be 'thread', 'process', or an object with "
-                f"range_shards/knn_shards (e.g. repro.api.remote.RemoteShardExecutor), "
-                f"got {type(executor).__name__}"
-            )
-        with self._lock:
-            old, self._executor = self._executor, None
-            self._executor_version = -1
-            self._executor_kind = kind
-            self._remote = remote
-        if old is not None:  # shut down OUTSIDE the lock: tasks may need it
-            old.shutdown(wait=True)
 
     def close(self) -> None:
-        """Shut the fan-out pool down (idempotent).
-
-        Queries that race (or follow) the close still answer correctly —
-        they fall back to running their shard tasks serially instead of
-        resurrecting a pool nothing would ever shut down again.  A remote
-        executor is caller-owned and stays open.
+        """Owns nothing to release (a remote executor is caller-owned and
+        stays open); kept, with ``with``, for the engines and
+        ``Database.close()`` that close every index alike.
         """
-        with self._lock:
-            self._closed = True
-            executor, self._executor = self._executor, None
-            self._executor_version = -1
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     def __enter__(self) -> "ShardedIndex":
         return self
@@ -410,8 +264,8 @@ class ShardedIndex:
 
     @property
     def executor_kind(self) -> str:
-        """Which execution backend fan-outs use: thread, process, or remote."""
-        return self._executor_kind
+        """Where shard sub-queries run: ``"local"`` or ``"remote"``."""
+        return "local" if self._remote is None else "remote"
 
     @property
     def shard_sizes(self) -> list[int]:
@@ -430,7 +284,7 @@ class ShardedIndex:
             instance = self._instances.get(key)
         if instance is None:
             # build outside the lock: index construction can be expensive and
-            # concurrent shards should not serialise on it
+            # concurrent callers should not serialise on it
             instance = make_algorithm(name, build.shards[shard], **kwargs)
             with self._lock:
                 instance = self._instances.setdefault(key, instance)
@@ -438,11 +292,11 @@ class ShardedIndex:
 
     def prepare(self, query: Ranking, theta: float, algorithm: str, **kwargs) -> None:
         """Forward per-query materialisation (Minimal F&V) to every shard."""
-        if self._executor_kind != "thread":
+        if self._remote is not None:
             raise TypeError(
                 "per-query prepare() needs in-process shard instances; it is not"
-                f" supported with executor={self._executor_kind!r} (use"
-                " executor='thread')"
+                " supported with a remote shard executor (build the index with"
+                " executor=None)"
             )
         build = self._current_build()
         for shard in range(build.num_shards):
@@ -452,112 +306,12 @@ class ShardedIndex:
                 raise TypeError(f"algorithm {algorithm!r} has no prepare() step")
             prepare(query, theta)
 
-    # -- fan-out machinery ---------------------------------------------------------
-
-    def _get_thread_pool(self, workers: int) -> Optional[Executor]:
-        """The thread fan-out pool, or ``None`` once the index is closed."""
-        with self._lock:
-            if self._closed:
-                return None
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-shard"
-                )
-            return self._executor
-
-    def _get_process_pool(self, build: _Build) -> Optional[Executor]:
-        """The process pool holding ``build``'s shards, or ``None``.
-
-        ``None`` means "compute serially in-process": the index is closed,
-        or the pool belongs to a different epoch (this query raced a
-        rebuild and pinned the older snapshot).
-        """
-        with self._lock:
-            if self._closed:
-                return None
-            if self._executor is not None:
-                return self._executor if self._executor_version == build.version else None
-            # picklability was guarded in __init__ (same collection, so the
-            # epochs share it); the pool's initargs do the actual shipping
-            self._executor = ProcessPoolExecutor(
-                max_workers=build.num_shards,
-                initializer=_process_pool_init,
-                initargs=(build.version, build.shards),
-            )
-            self._executor_version = build.version
-            return self._executor
-
-    def _discard_broken_pool(self, pool: Executor) -> None:
-        """Drop a process pool whose workers died; the next query rebuilds one.
-
-        Without this, a crashed worker (OOM kill, native segfault) would
-        leave the broken pool cached and fail every later query, even
-        though the serial fallback answers correctly.
-        """
-        with self._lock:
-            if self._executor is pool:
-                self._executor = None
-                self._executor_version = -1
-        pool.shutdown(wait=False)
-
-    def _run_shards(
-        self,
-        build: _Build,
-        local_task: Callable[[int], ShardAnswer],
-        process_fn: Callable[..., ShardAnswer],
-        process_args: tuple,
-    ) -> list[ShardAnswer]:
-        """One :class:`ShardAnswer` per shard of ``build``, via the executor.
-
-        ``local_task`` computes one shard in-process (the thread pool and
-        every serial fallback use it); the process pool ships
-        ``process_fn(shard, *process_args)`` to its workers instead, since
-        closures cannot cross process boundaries.
-        """
-        count = build.num_shards
-        if count == 1:
-            return [local_task(0)]
-        if self._executor_kind == "process":
-            pool = self._get_process_pool(build)
-            if pool is None:  # closed, or the pool serves another epoch
-                return [local_task(shard) for shard in range(count)]
-            try:
-                futures = [
-                    pool.submit(process_fn, shard, *process_args) for shard in range(count)
-                ]
-                return [future.result() for future in futures]
-            except BrokenExecutor:
-                # a worker died (OOM kill, native crash): drop the broken
-                # pool so later queries get a fresh one, answer serially now
-                self._discard_broken_pool(pool)
-                return [local_task(shard) for shard in range(count)]
-            except RuntimeError as error:
-                # a close()/rebuild() raced the submission and shut the pool
-                # down; tasks are read-only against their pinned epoch, so
-                # answering serially is always correct
-                if "shutdown" not in str(error):
-                    raise
-                return [local_task(shard) for shard in range(count)]
-        while True:
-            executor = self._get_thread_pool(count)
-            if executor is None:  # closed: answer serially rather than leak a pool
-                return [local_task(shard) for shard in range(count)]
-            try:
-                return list(executor.map(local_task, range(count)))
-            except RuntimeError as error:
-                # Only a pool shut down by a concurrent rebuild/close between
-                # lookup and submission is retryable (tasks are read-only
-                # against their pinned epoch, so re-running is safe); a
-                # RuntimeError raised by the task itself must propagate or
-                # the retry would loop forever on a failing query.
-                if "shutdown" not in str(error):
-                    raise
-                continue
+    # -- fan-out bookkeeping ---------------------------------------------------------
 
     def _record_shard_latencies(self, shard_answers: list[ShardAnswer]) -> None:
         """Per-shard fan-out latency into the registry and the active trace.
 
-        Local executors report each shard's own compute time through its
+        Local shards report their own compute time through their
         stats; remote fan-outs skip this (the remote executor records its
         own metrics and grafts the shard servers' span trees instead).
         """
@@ -593,7 +347,7 @@ class ShardedIndex:
         build = self._current_build()
         start = time.perf_counter()
         with trace_span(
-            "fanout", kind="range", shards=build.num_shards, executor=self._executor_kind
+            "fanout", kind="range", shards=build.num_shards, executor=self.executor_kind
         ):
             if self._remote is not None:
                 shard_answers: list[ShardAnswer] = [
@@ -603,18 +357,12 @@ class ShardedIndex:
                     )
                 ]
             else:
-
-                def run_shard(shard: int) -> ShardAnswer:
-                    instance = self._instance(build, shard, algorithm, kwargs)
-                    result = instance.search(query, theta)
-                    return [(match.rid, match.distance) for match in result.matches], result.stats
-
-                shard_answers = self._run_shards(
-                    build,
-                    run_shard,
-                    _process_range_task,
-                    (algorithm, tuple(sorted(kwargs.items())), query.items, theta),
-                )
+                shard_answers = []
+                for shard in range(build.num_shards):
+                    result = self._instance(build, shard, algorithm, kwargs).search(query, theta)
+                    shard_answers.append(
+                        ([(match.rid, match.distance) for match in result.matches], result.stats)
+                    )
                 self._record_shard_latencies(shard_answers)
         wall = time.perf_counter() - start
 
@@ -654,7 +402,7 @@ class ShardedIndex:
         build = self._current_build()
         start = time.perf_counter()
         with trace_span(
-            "fanout", kind="knn", shards=build.num_shards, executor=self._executor_kind
+            "fanout", kind="knn", shards=build.num_shards, executor=self.executor_kind
         ):
             if self._remote is not None:
                 shard_answers: list[ShardAnswer] = [
@@ -664,27 +412,13 @@ class ShardedIndex:
                     )
                 ]
             else:
-
-                def run_shard(shard: int) -> ShardAnswer:
-                    instance = self._instance(build, shard, algorithm, kwargs)
-                    return exact_local_top(
-                        instance, build.shards[shard], query, n_neighbours,
-                        initial_theta=initial_theta, growth=growth,
+                shard_answers = [
+                    exact_local_top(
+                        self._instance(build, shard, algorithm, kwargs), build.shards[shard],
+                        query, n_neighbours, initial_theta=initial_theta, growth=growth,
                     )
-
-                shard_answers = self._run_shards(
-                    build,
-                    run_shard,
-                    _process_knn_task,
-                    (
-                        algorithm,
-                        tuple(sorted(kwargs.items())),
-                        query.items,
-                        n_neighbours,
-                        initial_theta,
-                        growth,
-                    ),
-                )
+                    for shard in range(build.num_shards)
+                ]
                 self._record_shard_latencies(shard_answers)
         wall = time.perf_counter() - start
 
@@ -708,5 +442,5 @@ class ShardedIndex:
         build = self._current_build()
         return (
             f"ShardedIndex(n={len(self._rankings)}, shards={build.num_shards}, "
-            f"executor={self._executor_kind!r}, version={build.version})"
+            f"executor={self.executor_kind!r}, version={build.version})"
         )

@@ -146,8 +146,9 @@ class TestRemoteFailureModes:
                 index.prepare(Ranking(list(range(1, K + 1))), 0.2, "MinimalF&V")
 
     def test_bogus_executor_specs_are_rejected(self, rankings):
-        with pytest.raises(ValueError, match="thread"):
-            ShardedIndex(rankings, num_shards=2, executor="fiber")
+        for removed in ("thread", "process", "fiber"):
+            with pytest.raises(ValueError, match="removed.*RemoteShardExecutor"):
+                ShardedIndex(rankings, num_shards=2, executor=removed)
         with pytest.raises(ValueError, match="range_shards"):
             ShardedIndex(rankings, num_shards=2, executor=object())
 

@@ -11,6 +11,11 @@ baseline (range) and an exhaustive scan (k-NN).
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.distances import footrule_topk_raw, max_footrule_distance
@@ -159,38 +164,72 @@ def test_rebuild_bumps_version_and_repartitions():
 
 
 def test_rebuild_under_concurrent_queries_neither_deadlocks_nor_corrupts():
-    """Queries racing a rebuild finish on their pinned epoch with exact answers."""
-    import threading
+    """Callers racing a rebuild finish on their pinned epoch with exact answers.
 
+    Every caller runs its own fan-out, so the index's shared state (build
+    snapshot, instance table) sees as many threads as there are callers:
+    four here, mixing range and k-NN.
+    """
     rankings = random_dataset(3)
     baseline = FilterValidate.build(rankings)
     queries = sample_queries(rankings, 4, seed=9)
-    expected = {query: baseline.search(query, 0.2).rids for query in queries}
+    expected_range = {query: baseline.search(query, 0.2).rids for query in queries}
+    expected_knn = {
+        query: [rid for _, rid in brute_force_knn(rankings, query, 5)] for query in queries
+    }
     errors: list[BaseException] = []
+    passes = [0, 0, 0, 0]
 
-    with ShardedIndex.build(rankings, num_shards=4) as sharded:
-        sharded.range_query(queries[0], 0.2, "F&V")  # warm the pool + indices
+    with ShardedIndex.build(rankings, num_shards=2) as sharded:
         stop = threading.Event()
 
-        def hammer_queries() -> None:
+        def hammer_queries(caller: int) -> None:
             try:
                 while not stop.is_set():
-                    for query in queries:
-                        assert sharded.range_query(query, 0.2, "F&V").rids == expected[query]
+                    for index, query in enumerate(queries):
+                        if (caller + index) % 2:
+                            answer = sharded.knn(query, 5, "F&V")
+                            assert [n.rid for n in answer.neighbours] == expected_knn[query]
+                        else:
+                            answer = sharded.range_query(query, 0.2, "F&V")
+                            assert answer.rids == expected_range[query]
+                    passes[caller] += 1
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        worker = threading.Thread(target=hammer_queries)
-        worker.start()
+        callers = [threading.Thread(target=hammer_queries, args=(i,)) for i in range(4)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for count in (2, 3, 4, 1, 4):
+            for caller in callers:
+                caller.start()
+            for count in (3, 4, 1, 2, 3):
+                time.sleep(0.02)  # let queries land on every epoch
                 sharded.rebuild(num_shards=count)
         finally:
             stop.set()
-            worker.join(timeout=30)
-        assert not worker.is_alive(), "query thread deadlocked against rebuild"
+            for caller in callers:
+                caller.join(timeout=30)
+            sys.setswitchinterval(switch_interval)
+        assert not any(caller.is_alive() for caller in callers), "deadlocked against rebuild"
         assert not errors, errors
+        assert all(passes), passes
         assert sharded.version == 5
+
+
+def test_queries_start_no_threads_or_processes():
+    """Shards are visited in the calling thread, so ``close()`` owns nothing."""
+    rankings = random_dataset(7)
+    query = sample_queries(rankings, 1, seed=2)[0]
+    threads, children = threading.active_count(), multiprocessing.active_children()
+    sharded = ShardedIndex.build(rankings, num_shards=4)
+    before = sharded.range_query(query, 0.3, "F&V")
+    sharded.knn(query, 5, "F&V")
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == children
+    sharded.close()
+    after = sharded.range_query(query, 0.3, "F&V")
+    assert [(m.rid, m.distance) for m in after] == [(m.rid, m.distance) for m in before]
 
 
 def test_prepare_forwards_to_every_shard(paper_rankings, query_k5):
@@ -212,102 +251,18 @@ def test_merged_stats_aggregate_shard_counters(dataset):
     rankings, queries = dataset
     with ShardedIndex.build(rankings, num_shards=4) as sharded:
         result = sharded.range_query(queries[0], 0.2, "F&V")
-        assert result.stats.extra["shards_queried"] == 4.0
+        assert result.stats.extra["shards_queried"] == sharded.num_shards == 4
         assert result.stats.distance_calls > 0
         assert result.stats.total_seconds >= 0.0
         # the CPU sum across shards is preserved separately from wall time
         assert result.stats.extra["shard_seconds"] >= 0.0
         assert result.stats.results == len(result)
-
-
-class TestProcessExecutor:
-    """The ``executor="process"`` seam: real processes, identical answers."""
-
-    def test_range_and_knn_match_the_thread_executor(self):
-        rankings = random_dataset(7)
-        queries = sample_queries(rankings, 4, seed=3)
-        with ShardedIndex(rankings, num_shards=2) as threaded, ShardedIndex(
-            rankings, num_shards=2, executor="process"
-        ) as processed:
-            assert processed.executor_kind == "process"
-            for query in queries:
-                for theta in THETAS:
-                    expected = threaded.range_query(query, theta, "F&V")
-                    actual = processed.range_query(query, theta, "F&V")
-                    assert [(m.rid, m.distance) for m in actual] == [
-                        (m.rid, m.distance) for m in expected
-                    ]
-                expected_knn = threaded.knn(query, 5, "F&V")
-                actual_knn = processed.knn(query, 5, "F&V")
-                assert [(n.distance, n.rid) for n in actual_knn.neighbours] == [
-                    (n.distance, n.rid) for n in expected_knn.neighbours
-                ]
-
-    def test_single_shard_skips_the_pool(self):
-        rankings = random_dataset(23)
-        with ShardedIndex(rankings, num_shards=1, executor="process") as sharded:
-            result = sharded.range_query(sample_queries(rankings, 1, seed=1)[0], 0.2, "F&V")
-            assert result.stats.extra["shards_queried"] == 1.0
-            assert sharded._executor is None  # never built a pool
-
-    def test_queries_after_close_fall_back_serially(self):
-        rankings = random_dataset(7)
-        queries = sample_queries(rankings, 1, seed=2)
-        sharded = ShardedIndex(rankings, num_shards=2, executor="process")
-        baseline = sharded.range_query(queries[0], 0.3, "F&V")
-        sharded.close()
-        after_close = sharded.range_query(queries[0], 0.3, "F&V")
-        assert [(m.rid, m.distance) for m in after_close] == [
-            (m.rid, m.distance) for m in baseline
+        # the paper's cost counters are the sums over the shards' own searches
+        direct = [
+            sharded.shard_algorithm(shard, "F&V").search(queries[0], 0.2).stats
+            for shard in range(sharded.num_shards)
         ]
-
-    def test_rebuild_swaps_the_pool_and_keeps_answers_exact(self):
-        rankings = random_dataset(91)
-        queries = sample_queries(rankings, 2, seed=5)
-        with ShardedIndex(rankings, num_shards=2, executor="process") as sharded:
-            before = sharded.range_query(queries[0], 0.3, "F&V")
-            sharded.rebuild(num_shards=3)
-            after = sharded.range_query(queries[0], 0.3, "F&V")
-            assert [(m.rid, m.distance) for m in after] == [
-                (m.rid, m.distance) for m in before
-            ]
-            assert after.stats.extra["shards_queried"] == 3.0
-
-    def test_unpicklable_shards_fail_with_a_clear_message(self, monkeypatch):
-        from repro.service import sharding as sharding_module
-
-        def refuse(*args, **kwargs):
-            raise TypeError("cannot pickle synthetic object")
-
-        monkeypatch.setattr(sharding_module.pickle, "dumps", refuse)
-        rankings = random_dataset(7)
-        with pytest.raises(ValueError, match="picklable shard data"):
-            ShardedIndex(rankings, num_shards=2, executor="process")
-
-    def test_prepare_rejected_on_process_executor(self):
-        rankings = random_dataset(7)
-        with ShardedIndex(rankings, num_shards=2, executor="process") as sharded:
-            with pytest.raises(TypeError, match="executor"):
-                sharded.prepare(sample_queries(rankings, 1, seed=1)[0], 0.2, "MinimalF&V")
-
-    def test_crashed_workers_fall_back_and_the_pool_is_replaced(self):
-        """A killed worker must not permanently break the index: the query
-        answers serially, the broken pool is discarded, and the next query
-        gets a fresh pool."""
-        rankings = random_dataset(7)
-        query = sample_queries(rankings, 1, seed=4)[0]
-        with ShardedIndex(rankings, num_shards=2, executor="process") as sharded:
-            baseline = sharded.range_query(query, 0.3, "F&V")
-            broken_pool = sharded._executor
-            assert broken_pool is not None
-            for process in broken_pool._processes.values():
-                process.kill()
-            recovered = sharded.range_query(query, 0.3, "F&V")
-            assert [(m.rid, m.distance) for m in recovered] == [
-                (m.rid, m.distance) for m in baseline
-            ]
-            assert sharded._executor is not broken_pool  # replaced, not cached
-            fresh = sharded.range_query(query, 0.3, "F&V")
-            assert [(m.rid, m.distance) for m in fresh] == [
-                (m.rid, m.distance) for m in baseline
-            ]
+        for counter in ("distance_calls", "postings_scanned", "candidates"):
+            assert getattr(result.stats, counter) == sum(
+                getattr(stats, counter) for stats in direct
+            ), counter
