@@ -9,11 +9,7 @@ Three benchmark groups:
   group-commit: one ``fsync`` per batch instead of per record;
 * ``live-restart`` — ``LiveCollection.open()`` cost after heavy churn with
   the automatic snapshot policy on vs off, plus the number of WAL records
-  the restart actually replayed;
-* ``live-codec`` — the same restart-replay and checkpoint-size figures per
-  storage format (``json`` vs ``binary``): the RBF WAL replays without a
-  per-line JSON parse and the zlib-compressed binary runs shrink the
-  checkpoint, the two storage-side wins ``BENCH_codec.json`` records.
+  the restart actually replayed.
 
 Run under pytest-benchmark as part of the suite, or standalone::
 
@@ -167,97 +163,6 @@ def test_live_restart_cost(benchmark, tmp_path, snapshot_every):
     benchmark.extra_info["snapshot_every"] = snapshot_every or 0
     benchmark.extra_info["snapshots_taken"] = snapshots
     benchmark.extra_info["replayed_records"] = reopened.stats().replayed
-
-
-def checkpoint_bytes(directory) -> int:
-    """Total bytes of every persisted artifact under a collection directory."""
-    return sum(path.stat().st_size for path in directory.rglob("*") if path.is_file())
-
-
-def codec_restart_figures(directory, storage_format: str, mutations: int) -> dict:
-    """Churn one collection in ``storage_format``; time its restart replay.
-
-    The memtable threshold exceeds the mutation count and the snapshot
-    policy is off, so every record stays in the WAL — the reopen time is
-    dominated by record decode + replay, which is exactly the
-    json-vs-binary axis under measurement.
-    """
-    live = LiveCollection.open(
-        directory,
-        format=storage_format,
-        memtable_threshold=mutations * 2,
-        snapshot_every=None,
-    )
-    _churn(live, seed=31, mutations=mutations, probe=False)
-    expected = len(live)
-    live.close()
-    wal_bytes = checkpoint_bytes(directory)
-    start = time.perf_counter()
-    reopened = LiveCollection.open(
-        directory, memtable_threshold=mutations * 2, snapshot_every=None
-    )
-    replay_seconds = time.perf_counter() - start
-    assert len(reopened) == expected
-    replayed = reopened.stats().replayed
-    reopened.close()
-    return {
-        "format": storage_format,
-        "replay_seconds": replay_seconds,
-        "replayed_records": replayed,
-        "wal_bytes": wal_bytes,
-    }
-
-
-def codec_checkpoint_figures(directory, storage_format: str, mutations: int) -> dict:
-    """Churn with frequent flushes; report the persisted checkpoint size."""
-    with LiveCollection.open(
-        directory, format=storage_format, memtable_threshold=64, max_segments=4
-    ) as live:
-        _churn(live, seed=37, mutations=mutations, probe=False)
-        live.snapshot()
-    return {
-        "format": storage_format,
-        "checkpoint_bytes": checkpoint_bytes(directory),
-    }
-
-
-@pytest.mark.benchmark(group="live-codec")
-@pytest.mark.parametrize("storage_format", ("json", "binary"))
-def test_live_codec_restart(benchmark, tmp_path, storage_format):
-    """Restart replay cost per storage format, everything left in the WAL."""
-    live = LiveCollection.open(
-        tmp_path,
-        format=storage_format,
-        memtable_threshold=RESTART_MUTATIONS * 2,
-        snapshot_every=None,
-    )
-    _churn(live, seed=31, mutations=RESTART_MUTATIONS, probe=False)
-    expected = len(live)
-    live.close()
-
-    def reopen():
-        reopened = LiveCollection.open(
-            tmp_path, memtable_threshold=RESTART_MUTATIONS * 2, snapshot_every=None
-        )
-        reopened.close()
-        return reopened
-
-    reopened = run_once(benchmark, reopen)
-    assert len(reopened) == expected
-    benchmark.extra_info["storage_format"] = storage_format
-    benchmark.extra_info["replayed_records"] = reopened.stats().replayed
-    benchmark.extra_info["wal_bytes"] = checkpoint_bytes(tmp_path)
-
-
-@pytest.mark.benchmark(group="live-codec")
-@pytest.mark.parametrize("storage_format", ("json", "binary"))
-def test_live_codec_checkpoint_size(benchmark, tmp_path, storage_format):
-    """Persisted checkpoint footprint per storage format."""
-    figures = run_once(
-        benchmark, codec_checkpoint_figures, tmp_path, storage_format, MUTATIONS
-    )
-    benchmark.extra_info["storage_format"] = storage_format
-    benchmark.extra_info["checkpoint_bytes"] = figures["checkpoint_bytes"]
 
 
 def main() -> None:

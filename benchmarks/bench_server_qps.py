@@ -11,9 +11,7 @@ queries-per-second along three axes:
 * **transport** — the threaded server vs the asyncio server
   (:class:`repro.api.aserver.AsyncDatabaseServer`), same dispatch code;
 * **wire format** — the pipelined workload over JSON vs RBF binary frame
-  bodies on the same connection, the wire-side figure that (with the
-  storage figures from ``bench_live_updates.py``) lands in
-  ``BENCH_codec.json``.
+  bodies on the same connection.
 
 The in-process :class:`~repro.api.database.Session` serving the identical
 workload is the baseline — the gap is pure transport (framing + JSON +

@@ -92,9 +92,7 @@ from repro.algorithms.registry import (
 )
 from repro.datasets.loader import load_rankings, save_rankings
 from repro.datasets.queries import sample_queries
-from repro.live import DEFAULT_LIVE_ALGORITHM, LiveCollection
-from repro.live.collection import SNAPSHOT_FILENAME, WAL_BINARY_FILENAME, WAL_FILENAME
-from repro.live.manifest import MANIFEST_BINARY_FILENAME, MANIFEST_FILENAME
+from repro.live import DEFAULT_LIVE_ALGORITHM, LiveCollection, directory_has_state
 from repro.service import QueryEngine, partition_rankings
 from repro.datasets.nyt import nyt_like_dataset
 from repro.datasets.yago import yago_like_dataset
@@ -197,12 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dir", default=None, help="persistence directory (WAL + snapshots); in-memory if omitted"
     )
     ingest.add_argument(
-        "--format", choices=("json", "binary"), default=None,
-        help="storage format for --dir: RBF binary or JSON artifacts (default:"
-        " match what the directory already holds, json when fresh); switching"
-        " formats migrates the directory in place",
-    )
-    ingest.add_argument(
         "--memtable-threshold", type=int, default=256, help="memtable size sealed into a segment"
     )
     ingest.add_argument(
@@ -264,12 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dir", default=None,
         help="persistence directory for --live (WAL + snapshots; enables"
         " '--admin snapshot'); in-memory if omitted",
-    )
-    serve.add_argument(
-        "--format", choices=("json", "binary"), default=None,
-        help="storage format for '--live --dir': RBF binary or JSON artifacts"
-        " (default: match what the directory already holds, json when fresh);"
-        " switching formats migrates the directory in place",
     )
     serve.add_argument("--shards", type=int, default=1, help="number of index shards")
     serve.add_argument(
@@ -655,9 +641,6 @@ def _command_ingest(args: argparse.Namespace) -> int:
     if args.snapshot and args.dir is None:
         print("error: --snapshot requires --dir", file=sys.stderr)
         return 2
-    if args.format is not None and args.dir is None:
-        print("error: --format requires --dir", file=sys.stderr)
-        return 2
     durability_flags = args.fsync or args.commit_batch is not None or args.commit_interval is not None
     if durability_flags and args.dir is None:
         print("error: --fsync/--commit-batch/--commit-interval require --dir", file=sys.stderr)
@@ -677,7 +660,6 @@ def _command_ingest(args: argparse.Namespace) -> int:
     if args.dir is not None:
         live = LiveCollection.open(
             args.dir,
-            format=args.format,
             memtable_threshold=args.memtable_threshold,
             max_segments=args.max_segments,
             num_shards=args.shards,
@@ -758,8 +740,6 @@ def _command_ingest(args: argparse.Namespace) -> int:
             if args.commit_interval is not None:
                 bounds.append(f"interval={args.commit_interval}s")
             durability += f" ({', '.join(bounds)})"
-        if stats.durability != "in-memory":
-            durability += f", {stats.storage_format} storage"
         print(f"  durability: {durability}"
               + ("  (acknowledged writes may be lost on power loss)"
                  if stats.durability in ("in-memory", "no-sync") else ""))
@@ -818,9 +798,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.dir is not None and not args.live:
         print("error: --dir requires --live", file=sys.stderr)
         return 2
-    if args.format is not None and (not args.live or args.dir is None):
-        print("error: --format requires --live --dir", file=sys.stderr)
-        return 2
     durability_flags = (
         args.fsync or args.commit_batch is not None or args.commit_interval is not None
     )
@@ -849,19 +826,9 @@ def _command_serve(args: argparse.Namespace) -> int:
                 # the state directory is self-contained: the TSV only seeds a
                 # brand-new directory and is never re-read on restarts — an
                 # existing (even emptied-out) state must not be re-seeded
-                fresh = not any(
-                    os.path.exists(os.path.join(args.dir, name))
-                    for name in (
-                        MANIFEST_FILENAME,
-                        MANIFEST_BINARY_FILENAME,
-                        WAL_FILENAME,
-                        WAL_BINARY_FILENAME,
-                        SNAPSHOT_FILENAME,
-                    )
-                )
+                fresh = not directory_has_state(args.dir)
                 collection = LiveCollection.open(
                     args.dir,
-                    format=args.format,
                     num_shards=args.shards,
                     sync=args.fsync,
                     commit_batch=args.commit_batch,
@@ -923,10 +890,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"({size} rankings, k={k}, {args.shards} shard(s), {transport}) on {host}:{port}"
     )
     if args.live:
-        durability = collection.durability
-        if durability != "in-memory":
-            durability += f", {collection.storage_format} storage"
-        print(f"durability: {durability}"
+        print(f"durability: {collection.durability}"
               + ("  (acknowledged writes may be lost on power loss)"
                  if collection.durability in ("in-memory", "no-sync") else ""))
     print("stop with a client '--admin shutdown' request or Ctrl-C")

@@ -4,8 +4,8 @@ One zero-copy, length-prefixed, CRC32-checksummed record framing
 (:mod:`repro.codec.rbf`) carries every binary artifact in the system:
 
 * **storage** — WAL records, immutable run files, and the manifest
-  edit log (:mod:`repro.codec.records`), written with the same
-  fsync discipline as the JSON paths (:mod:`repro.codec.files`);
+  edit log (:mod:`repro.codec.records`), written with the fsync
+  discipline of :mod:`repro.codec.files`;
 * **wire** — binary protocol-frame bodies for the hot query and
   replication shapes (:mod:`repro.codec.wire`, imported explicitly by
   the api layer — not re-exported here, so the storage stack can use

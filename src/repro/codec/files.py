@@ -1,9 +1,8 @@
 """Durable file primitives for binary artifacts.
 
 The codec layer owns the crash-safety discipline for the files it
-defines, mirroring :func:`repro.live.manifest.atomic_write_json` for the
-binary world: temp file, ``fsync`` of the temp file, atomic rename,
-``fsync`` of the containing directory.  A crash at any point leaves
+defines: temp file, ``fsync`` of the temp file, atomic rename, ``fsync``
+of the containing directory.  A crash at any point leaves
 either the previous file or the complete new one — never a torn middle.
 
 :func:`append_record` is the edit-log/WAL-side primitive: an in-place

@@ -12,7 +12,7 @@ guarded-by     attributes declared ``# guarded-by: _lock`` are only
 fsync-discipline  under ``src/repro/live/`` and ``src/repro/codec/``
                every rename/truncate is fsynced in the same function
                and raw ``write_text`` / ``write_bytes`` is banned
-               (use ``atomic_write_json`` / ``atomic_write_bytes``)
+               (use ``atomic_write_bytes``)
 wire-parity    every ``*Request`` has a dispatch arm in
                ``api/database.py``, a helper in ``api/surface.py``,
                a ``REQUEST_TYPES`` registration, and every error code
@@ -201,12 +201,12 @@ class FsyncDisciplineRule(Rule):
     description = (
         "under src/repro/live/ and src/repro/codec/ renames and truncates need"
         " os.fsync in the same function, and raw write_text/write_bytes must go"
-        " through atomic_write_json / atomic_write_bytes"
+        " through atomic_write_bytes"
     )
 
     _PATHS = ("src/repro/live/", "src/repro/codec/")
     _SYNCED = frozenset(
-        {"fsync", "fsync_directory", "atomic_write_json", "atomic_write_bytes", "append_record"}
+        {"fsync", "fsync_directory", "atomic_write_bytes", "append_record"}
     )
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -231,7 +231,7 @@ class FsyncDisciplineRule(Rule):
                         message=(
                             f"{func.name} uses .write_text/.write_bytes, which"
                             " bypasses the temp-file + fsync + rename discipline"
-                            " (use atomic_write_json / atomic_write_bytes or an"
+                            " (use atomic_write_bytes or an"
                             " explicit fsync path)"
                         ),
                     )

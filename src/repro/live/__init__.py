@@ -6,7 +6,7 @@ without giving up exact answers:
 
 Layering (write path top to bottom)::
 
-    wal.py         JSONL write-ahead log: no-sync / per-record fsync /
+    wal.py         RBF write-ahead log: no-sync / per-record fsync /
                    group-commit durability modes
     memtable.py    recent writes, answered by exact brute-force scan
     segment.py     sealed immutable runs indexed by any registry algorithm,
@@ -14,6 +14,8 @@ Layering (write path top to bottom)::
     tombstones.py  superseded locations filtering segment/base answers
     manifest.py    which persisted runs + tombstones make up a checkpoint
                    and the WAL sequence they cover
+    legacy_json.py read-only loaders for JSON-era directories (upgraded
+                   to RBF when opened)
     compactor.py   background merge into a fresh ShardedIndex base epoch
     collection.py  LiveCollection facade: insert/delete/upsert/query/knn,
                    flush/compact, snapshot/restore, auto-snapshot policy
@@ -29,6 +31,7 @@ from repro.live.collection import (
     DEFAULT_LIVE_ALGORITHM,
     LiveCollection,
     LiveStats,
+    directory_has_state,
 )
 from repro.live.compactor import Compactor
 from repro.live.engine import LiveQueryEngine
@@ -52,4 +55,5 @@ __all__ = [
     "TombstoneSet",
     "WalRecord",
     "WriteAheadLog",
+    "directory_has_state",
 ]

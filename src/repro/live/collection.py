@@ -28,7 +28,8 @@ order.  The property tests in ``tests/test_live_equivalence.py`` assert this
 across algorithms and churn patterns.
 
 **Persistence.**  A durable collection (one opened with :meth:`open`) keeps
-a :class:`~repro.live.manifest.Manifest` next to the WAL.  Every checkpoint
+a :class:`~repro.live.manifest.Manifest` next to the WAL, both as RBF records
+(:mod:`repro.codec`).  Every checkpoint
 — a memtable flush, a compaction swap, or an explicit :meth:`snapshot` —
 spills the affected immutable run to disk and rewrites the manifest, so a
 restart loads the sealed layers directly and replays only the WAL records
@@ -36,13 +37,14 @@ restart loads the sealed layers directly and replays only the WAL records
 the collection's lifetime.  An automatic snapshot policy
 (``snapshot_every``) additionally truncates the covered WAL prefix once the
 log grows past a bound, keeping both log size and restart cost bounded
-without user intervention.
+without user intervention.  A directory written by an earlier, JSON-era
+build is read through :mod:`repro.live.legacy_json` and upgraded on open.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -57,9 +59,9 @@ from repro.core.ranking import Ranking, RankingSet
 from repro.core.result import SearchResult
 from repro.core.stats import SearchStats
 from repro.algorithms.knn import KnnResult, Neighbour
+from repro.live import legacy_json
 from repro.live.compactor import Compactor
 from repro.live.manifest import (
-    MANIFEST_BINARY_FILENAME,
     MANIFEST_FILENAME,
     SEGMENTS_DIRNAME,
     Manifest,
@@ -79,15 +81,8 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace_span
 from repro.service.sharding import ShardedIndex
 
-#: File names used inside a persistence directory.
-WAL_FILENAME = "wal.jsonl"
-#: Binary-format (RBF) write-ahead log filename.
-WAL_BINARY_FILENAME = "wal.rbf"
-#: Legacy (pre-manifest) whole-state snapshot file, still readable.
-SNAPSHOT_FILENAME = "snapshot.json"
-
-#: The storage formats a durable collection can run under.
-STORAGE_FORMATS = ("json", "binary")
+#: The write-ahead log's name inside a persistence directory.
+WAL_FILENAME = "wal.rbf"
 
 #: Default algorithm used when a query does not name one.
 DEFAULT_LIVE_ALGORITHM = "F&V"
@@ -116,7 +111,6 @@ class LiveStats:
     replayed: int = 0
     snapshots: int = 0
     durability: str = "in-memory"
-    storage_format: str = "json"
 
     @property
     def mutations(self) -> int:
@@ -129,8 +123,7 @@ class LiveStats:
         Mirrors :meth:`repro.service.recording.EngineStats.as_dict` —
         snake_case keys grouped one level deep by category, integer
         counters — so a metrics exporter maps static and live stats with
-        the same code.  The pre-normalisation flat shape survives as
-        :meth:`as_flat_dict`.
+        the same code.
         """
         return {
             "mutations": {
@@ -145,21 +138,22 @@ class LiveStats:
                 "snapshots": self.snapshots,
                 "replayed": self.replayed,
             },
-            "durability": {"mode": self.durability, "format": self.storage_format},
+            "durability": {"mode": self.durability},
         }
 
-    def as_flat_dict(self) -> dict:
-        """Compatibility shim: the flat pre-PR-6 key layout."""
-        return {
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "upserts": self.upserts,
-            "flushes": self.flushes,
-            "compactions": self.compactions,
-            "replayed": self.replayed,
-            "snapshots": self.snapshots,
-            "durability": self.durability,
-        }
+
+def directory_has_state(directory: Union[str, Path]) -> bool:
+    """Whether ``directory`` already holds a collection :meth:`LiveCollection.open` would load.
+
+    True for a control file of any era, so a caller seeding a *fresh*
+    directory never re-seeds an existing (even emptied-out) one.
+    """
+    directory = Path(directory)
+    return (
+        (directory / MANIFEST_FILENAME).exists()
+        or (directory / WAL_FILENAME).exists()
+        or bool(legacy_json.control_files(directory))
+    )
 
 
 class LiveCollection:
@@ -217,7 +211,6 @@ class LiveCollection:
         background_compaction: bool = False,
         directory: Optional[Union[str, Path]] = None,
         snapshot_every: Optional[int] = DEFAULT_SNAPSHOT_EVERY,
-        format: str = "json",
     ) -> None:
         if memtable_threshold <= 0:
             raise ValueError(f"memtable_threshold must be positive, got {memtable_threshold}")
@@ -227,18 +220,15 @@ class LiveCollection:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         if snapshot_every is not None and snapshot_every <= 0:
             raise ValueError(f"snapshot_every must be positive or None, got {snapshot_every}")
-        if format not in STORAGE_FORMATS:
-            raise ValueError(f"format must be one of {STORAGE_FORMATS}, got {format!r}")
         self._memtable_threshold = memtable_threshold
         self._max_segments = max_segments
         self._num_shards = num_shards
         self._wal = wal
         self._directory = Path(directory) if directory is not None else None
         self._snapshot_every = snapshot_every
-        self._format = format
-        self._manifest_log: Optional[ManifestLog] = None
-        if self._directory is not None and format == "binary":
-            self._manifest_log = ManifestLog(self._directory / MANIFEST_BINARY_FILENAME)
+        self._manifest_log = (
+            ManifestLog(self._directory / MANIFEST_FILENAME) if self._directory is not None else None
+        )
 
         # Reentrant because flush/checkpoint helpers re-enter while held;
         # REPRO_LOCKTRACE=1 swaps in a TracedLock (see repro.devtools).
@@ -267,7 +257,6 @@ class LiveCollection:
         self.wal_hook: Optional[Callable[[WalRecord], None]] = None
         self._stats = LiveStats(  # guarded-by: _lock
             durability=wal.durability if wal is not None else "in-memory",
-            storage_format=format,
         )
         registry = get_registry()
         self._m_mutations = {
@@ -312,34 +301,31 @@ class LiveCollection:
         """Open (or create) a durable collection in ``directory``.
 
         Loads the manifest's sealed layers (base + segments + tombstones)
-        if one exists — falling back to a legacy whole-state snapshot —
-        then replays only the WAL records after the covered sequence
-        number: the tail.  ``sync`` / ``commit_batch`` / ``commit_interval``
-        pick the WAL durability mode (see
+        if one exists, then replays only the WAL records after the covered
+        sequence number: the tail.  ``sync`` / ``commit_batch`` /
+        ``commit_interval`` pick the WAL durability mode (see
         :class:`~repro.live.wal.WriteAheadLog`).
 
-        ``format`` selects the storage format (one of
-        :data:`STORAGE_FORMATS`).  ``None`` autodetects: a directory with
-        binary artifacts opens binary, anything else opens JSON.  Opening
-        a directory written in the *other* format migrates it in place —
-        the old WAL tail is replayed, a checkpoint is written in the new
-        format, and the superseded WAL/manifest removed.  Existing run
-        files are untouched (each is read by its own suffix), so the
-        migration costs one checkpoint, not a data rewrite.
+        A directory written by a JSON-era build is upgraded here: its
+        checkpoint and ``wal.jsonl`` tail are read through
+        :mod:`repro.live.legacy_json`, one RBF checkpoint is written, and
+        the JSON control files are unlinked.  Its ``*.json`` run files are
+        untouched (the new manifest keeps naming them until a compaction
+        rewrites them), so the upgrade costs one checkpoint, not a data
+        rewrite.
+
+        ``format`` is vestigial: ``None`` and ``"binary"`` both mean RBF,
+        the only format written.
         """
-        directory = Path(directory)
-        resolved = format
-        if resolved is None:
-            binary_artifacts = (
-                (directory / MANIFEST_BINARY_FILENAME).exists()
-                or (directory / WAL_BINARY_FILENAME).exists()
+        if format not in (None, "binary"):
+            raise ValueError(
+                f"format must be None or 'binary', got {format!r}: RBF is the only"
+                " format written (the JSON writer is gone; a JSON-era directory"
+                " is upgraded when opened)"
             )
-            resolved = "binary" if binary_artifacts else "json"
-        if resolved not in STORAGE_FORMATS:
-            raise ValueError(f"format must be one of {STORAGE_FORMATS}, got {resolved!r}")
-        binary = resolved == "binary"
+        directory = Path(directory)
         wal = WriteAheadLog(
-            directory / (WAL_BINARY_FILENAME if binary else WAL_FILENAME),
+            directory / WAL_FILENAME,
             sync=sync,
             commit_batch=commit_batch,
             commit_interval=commit_interval,
@@ -352,45 +338,26 @@ class LiveCollection:
             background_compaction=background_compaction,
             directory=directory,
             snapshot_every=snapshot_every,
-            format=resolved,
         )
-        own_manifest = directory / (MANIFEST_BINARY_FILENAME if binary else MANIFEST_FILENAME)
-        other_manifest = directory / (MANIFEST_FILENAME if binary else MANIFEST_BINARY_FILENAME)
-        other_wal_path = directory / (WAL_FILENAME if binary else WAL_BINARY_FILENAME)
-        snapshot_path = directory / SNAPSHOT_FILENAME
-        referenced: frozenset[str] = frozenset()
-        if own_manifest.exists():
-            manifest = collection._load_manifest_file(own_manifest)
-            collection._load_manifest(manifest)
-            referenced = manifest.referenced_files()
-        elif other_manifest.exists():
-            manifest = collection._load_manifest_file(other_manifest)
-            collection._load_manifest(manifest)
-            referenced = manifest.referenced_files()
-        elif snapshot_path.exists():
-            collection._load_legacy_snapshot(snapshot_path)
-        collection._collect_garbage(referenced)
-        migrating = other_wal_path.exists() or other_manifest.exists()
-        collection._replaying = True
-        try:
-            if other_wal_path.exists():
-                # the other format's WAL tail: mutations accepted after the
-                # checkpoint the old-format directory last wrote
-                for record in WriteAheadLog(other_wal_path).replay(after_seq=collection._seq):
-                    collection._apply_record(record, tolerant=True)
-                    collection._maintain()
-            for record in wal.replay(after_seq=collection._seq):
-                collection._apply_record(record, tolerant=True)
-                collection._maintain()
-        finally:
-            collection._replaying = False
-        if migrating:
-            # complete the in-place migration: checkpoint in the new format,
-            # then drop the superseded artifacts.  Idempotent — a crash in
-            # between re-runs this block with an empty old tail.
+        legacy_files = legacy_json.control_files(directory)
+        manifest, unspilled_base = collection._manifest_log.load(), None
+        if manifest is None:
+            manifest, unspilled_base = legacy_json.load_checkpoint(directory)
+        if manifest is not None:
+            collection._load_manifest(manifest, unspilled_base)
+        collection._collect_garbage(
+            manifest.referenced_files() if manifest is not None else frozenset()
+        )
+        # a JSON-era tail first: it predates anything in wal.rbf
+        collection._replay(legacy_json.replay_wal(directory, after_seq=collection._seq))
+        collection._replay(wal.replay(after_seq=collection._seq))
+        if legacy_files:
+            # complete the upgrade: checkpoint in RBF, then drop the JSON
+            # control files.  Idempotent — a crash in between re-runs this
+            # block with an empty old tail.
             collection._checkpoint()
-            other_wal_path.unlink(missing_ok=True)
-            other_manifest.unlink(missing_ok=True)
+            for path in legacy_files:
+                path.unlink(missing_ok=True)
         if wal.exists:
             # the file may still hold an untruncated covered prefix, so the
             # policy counter tracks actual log length, not just the tail
@@ -398,19 +365,23 @@ class LiveCollection:
         collection._maybe_auto_snapshot()
         return collection
 
-    def _load_manifest_file(self, path: Path) -> Manifest:
-        """Decode one manifest file by its suffix (JSON or binary edit log)."""
-        if path.name == MANIFEST_BINARY_FILENAME:
-            log = self._manifest_log
-            if log is None or log.path != path:
-                log = ManifestLog(path)
-            manifest = log.load()
-            assert manifest is not None  # caller checked path.exists()
-            return manifest
-        return Manifest.load(path)
+    def _replay(self, records: Iterable[WalRecord]) -> None:
+        """Re-apply a WAL tail on the open() path, before the collection is shared."""
+        self._replaying = True
+        try:
+            for record in records:
+                self._apply_record(record, tolerant=True)
+                self._maintain()
+        finally:
+            self._replaying = False
 
     # holds: _lock — open() path, before the collection is shared
-    def _load_manifest(self, manifest: Manifest) -> None:
+    def _load_manifest(
+        self, manifest: Manifest, unspilled_base: Optional[legacy_json.Run] = None
+    ) -> None:
+        """Install a checkpoint's layers; ``unspilled_base`` is a base the
+        checkpoint carries in memory instead of naming a file (a legacy
+        whole-state snapshot) — the next manifest write spills it."""
         assert self._directory is not None
         self._k = manifest.k
         self._next_key = manifest.next_key
@@ -420,11 +391,12 @@ class LiveCollection:
         # reuse the surviving base run's numbered filename
         self._base_epoch = manifest.base_epoch
         if manifest.base is not None:
-            keys, rankings = read_run(self._directory / manifest.base)
-            if keys:
-                self._base = ShardedIndex.build(rankings, num_shards=self._num_shards)
-                self._base_keys = keys
-                self._base_file = manifest.base
+            unspilled_base = read_run(self._directory / manifest.base)
+        if unspilled_base is not None and unspilled_base[0]:
+            keys, rankings = unspilled_base
+            self._base = ShardedIndex.build(rankings, num_shards=self._num_shards)
+            self._base_keys = keys
+            self._base_file = manifest.base
         for rid in manifest.base_tombstones:
             self._tombstones.add(("base", self._base_epoch, rid))
         for segment_id, filename in manifest.segments:
@@ -445,23 +417,6 @@ class LiveCollection:
                 if ("seg", segment_id, local_rid) not in self._tombstones:
                     self._current[key] = ("seg", segment_id, local_rid)
 
-    # holds: _lock — open() path, before the collection is shared
-    def _load_legacy_snapshot(self, path: Path) -> None:
-        """Restore a pre-manifest whole-state snapshot (read-only support)."""
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        entries = payload["entries"]
-        self._k = payload["k"]
-        self._next_key = int(payload["next_key"])
-        self._seq = int(payload["last_seq"])
-        self._covered_seq = self._seq
-        if entries:
-            keys = tuple(int(key) for key, _ in entries)
-            rankings = RankingSet.from_lists([items for _, items in entries])
-            self._base = ShardedIndex.build(rankings, num_shards=self._num_shards)
-            self._base_keys = keys
-            for rid, key in enumerate(keys):
-                self._current[key] = ("base", self._base_epoch, rid)
-
     def _collect_garbage(self, referenced: frozenset[str]) -> None:
         """Drop run files the surviving manifest does not name.
 
@@ -471,12 +426,10 @@ class LiveCollection:
         """
         if self._directory is None or not self._directory.exists():
             return
-        candidates = list(self._directory.glob("base-*.json"))
-        candidates += list(self._directory.glob("base-*.rbf"))
-        candidates += list((self._directory / SEGMENTS_DIRNAME).glob("segment-*.json"))
-        candidates += list((self._directory / SEGMENTS_DIRNAME).glob("segment-*.rbf"))
+        # any suffix: an upgraded directory may still hold JSON-era runs
+        candidates = list(self._directory.glob("base-*"))
         candidates += list(self._directory.glob("*.tmp"))
-        candidates += list((self._directory / SEGMENTS_DIRNAME).glob("*.tmp"))
+        candidates += list((self._directory / SEGMENTS_DIRNAME).glob("*"))
         for path in candidates:
             if path.relative_to(self._directory).as_posix() not in referenced:
                 path.unlink(missing_ok=True)
@@ -517,9 +470,7 @@ class LiveCollection:
                 self._wal_records = self._wal.truncate_through(self._covered_seq)
             self._stats.snapshots += 1
             self._m_snapshots.inc()
-        return self._directory / (
-            MANIFEST_BINARY_FILENAME if self._format == "binary" else MANIFEST_FILENAME
-        )
+        return self._directory / MANIFEST_FILENAME
 
     def _export_snapshot(self, target_dir: Path) -> Path:
         with self._lock:
@@ -540,7 +491,9 @@ class LiveCollection:
             keys = tuple(key for key, _ in entries)
             rankings = RankingSet.from_rankings(ranking for _, ranking in entries)
             write_run(target_dir / base_filename(0), keys, rankings)
-        return manifest.save(target_dir / MANIFEST_FILENAME)
+        log = ManifestLog(target_dir / MANIFEST_FILENAME)
+        log.rewrite(manifest)
+        return log.path
 
     def _write_manifest_locked(self, covered_seq: int) -> None:
         """Rewrite the manifest to describe the current sealed layers.
@@ -551,7 +504,7 @@ class LiveCollection:
         assert self._directory is not None
         if self._base is not None and self._base_file is None:
             # base built in memory (initial= or a legacy snapshot): spill it
-            self._base_file = base_filename(self._base_epoch, self._format)
+            self._base_file = base_filename(self._base_epoch)
             write_run(self._directory / self._base_file, self._base_keys, self._base.rankings)
         tombstones = self._tombstones.snapshot()
         base_tombstones = tuple(
@@ -575,16 +528,11 @@ class LiveCollection:
             base_tombstones=base_tombstones,
             segment_tombstones=segment_tombstones,
         )
-        if self._manifest_log is not None:
-            self._manifest_log.commit(manifest)
-        else:
-            manifest.save(self._directory / MANIFEST_FILENAME)
-        # the manifest supersedes any legacy whole-state snapshot
-        (self._directory / SNAPSHOT_FILENAME).unlink(missing_ok=True)
+        self._manifest_log.commit(manifest)
         self._covered_seq = covered_seq
 
     def close(self) -> None:
-        """Finish background compaction and release files and thread pools."""
+        """Finish background compaction and close the WAL."""
         self._compactor.join()
         if self._wal is not None:
             self._wal.close()
@@ -622,11 +570,6 @@ class LiveCollection:
     def durability(self) -> str:
         """The write-path guarantee: in-memory / no-sync / fsync / group-commit."""
         return self._wal.durability if self._wal is not None else "in-memory"
-
-    @property
-    def storage_format(self) -> str:
-        """The persistence format (one of :data:`STORAGE_FORMATS`)."""
-        return self._format
 
     @property
     def memtable_size(self) -> int:
@@ -930,7 +873,7 @@ class LiveCollection:
         self._stats.flushes += 1
         self._m_flushes.inc()
         if self._directory is not None:
-            filename = segment_filename(segment_id, self._format)
+            filename = segment_filename(segment_id)
             segment.save(self._directory / filename)
             self._segment_files[segment_id] = filename
             if write_manifest:

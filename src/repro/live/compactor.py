@@ -178,7 +178,7 @@ class Compactor:
         directory = collection._directory
         new_base_file: Optional[str] = None
         if directory is not None and new_base is not None:
-            new_base_file = base_filename(new_epoch, collection.storage_format)
+            new_base_file = base_filename(new_epoch)
             write_run(directory / new_base_file, new_keys, rankings)
         # 3. swap the new epoch in, reconciling mutations that raced the build
         consumed = {("base", base_epoch)} | {("seg", segment_id) for segment_id in segments}

@@ -1,43 +1,44 @@
 """The manifest: which persisted files make up a live collection's state.
 
 A durable :class:`~repro.live.collection.LiveCollection` directory holds
+RBF records (:mod:`repro.codec`) and nothing else:
 
-* ``wal.jsonl`` — the write-ahead log (see :mod:`repro.live.wal`),
-* ``base-<epoch>.json`` — the persisted base run, when one exists,
-* ``segments/segment-<id>.json`` — one immutable run per sealed segment,
-* ``manifest.json`` — this file: which base/segment runs are live, which
+* ``wal.rbf`` — the write-ahead log (see :mod:`repro.live.wal`),
+* ``base-<epoch>.rbf`` — the persisted base run, when one exists,
+* ``segments/segment-<id>.rbf`` — one immutable run per sealed segment
+  (runs are zlib-packed columnar records),
+* ``manifest.rbf`` — this file: which base/segment runs are live, which
   of their rows are tombstoned, and the WAL sequence number
   (``covered_seq``) through which those layers are complete.
 
-A collection opened with ``format="binary"`` stores the same state in RBF
-records (:mod:`repro.codec`) instead: ``wal.rbf``, ``base-<epoch>.rbf``,
-``segments/segment-<id>.rbf`` (zlib-packed columnar runs), and
-``manifest.rbf`` — not a rewritten snapshot but an *edit log*
+``manifest.rbf`` is not a rewritten snapshot but an *edit log*
 (:class:`ManifestLog`): one full snapshot record followed by small edit
 records holding only the changed top-level fields, folded over the
 snapshot at load time and compacted back into one snapshot once the tail
-grows past a threshold.  Checkpoints then cost one small durable append
-instead of a full rewrite.
+grows past a threshold.  A checkpoint (memtable flush, compaction swap,
+explicit snapshot) then costs one small durable append instead of a full
+rewrite; the compaction is atomic and durable — temp file, ``fsync`` of
+the temp file, rename, ``fsync`` of the directory.
 
 Recovery loads the runs the manifest names and replays only the WAL records
 *after* ``covered_seq`` — the tail — instead of rebuilding the whole
-collection from the log.  The manifest is rewritten at every checkpoint
-(memtable flush, compaction swap, explicit snapshot), always atomically and
-durably: temp file, ``fsync`` of the temp file, rename, ``fsync`` of the
-directory.  A crash therefore leaves either the previous manifest or the
-new one, and any run files the surviving manifest does not name are orphans
-that :func:`Manifest.referenced_files` lets the opener garbage-collect.
+collection from the log.  A crash leaves either the previous checkpoint or
+the new one, and any run files the surviving manifest does not name are
+orphans that :func:`Manifest.referenced_files` lets the opener
+garbage-collect.
 
 ``base_epoch`` is persisted so a recovered collection's epoch counter — and
 with it the numbered base run filenames — continues where the previous
 process stopped; base tombstones are stored as bare row ids and re-tagged
 with that epoch at load time.
+
+A directory upgraded from the JSON era (:mod:`repro.live.legacy_json`) may
+still name ``*.json`` runs until its next compaction; :func:`read_run`
+hands those to that module.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,18 +61,12 @@ from repro.codec.records import (
 )
 from repro.core.errors import ReproError
 from repro.core.ranking import RankingSet
-from repro.devtools.locktrace import mark_io
-from repro.live.wal import fsync_directory
 
 #: File and directory names inside a persistence directory.
-MANIFEST_FILENAME = "manifest.json"
-MANIFEST_BINARY_FILENAME = "manifest.rbf"
+MANIFEST_FILENAME = "manifest.rbf"
 SEGMENTS_DIRNAME = "segments"
 
-#: Run/manifest file suffix that selects the RBF binary format.
-RUN_BINARY_SUFFIX = ".rbf"
-
-#: Edit records a binary manifest log may accumulate before compaction.
+#: Edit records a manifest log may accumulate before compaction.
 MANIFEST_EDIT_LIMIT = 16
 
 #: Manifest payload format version, bumped on incompatible layout changes.
@@ -86,79 +81,47 @@ class CorruptManifestError(ReproError):
         super().__init__(f"corrupt manifest at {path}: {reason}")
 
 
-def atomic_write_json(path: Path, payload: object) -> None:
-    """Write ``payload`` as JSON so a crash leaves the old file or the new.
-
-    The temp file is ``fsync``\\ ed before the rename and the containing
-    directory after it — the rename is what makes the write atomic, the
-    two syncs are what make it *durable* (without them the rename can
-    survive a crash while the bytes it points at do not).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    mark_io(f"fsync:{path.name}")
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    temporary.replace(path)
-    fsync_directory(path.parent)
-
-
 def write_run(path: Path, keys: tuple[int, ...], rankings: RankingSet) -> None:
     """Persist one immutable run (a sealed segment or the base) durably.
 
     A run is the full row list *including tombstoned rows*: tombstones are
     row-id addressed, so the on-disk layout must match the in-memory one
-    exactly, dead rows and all.
-
-    The format is chosen by the path suffix: ``.rbf`` writes one
-    zlib-packed columnar RBF record (runs are cold data — write once,
-    read on recovery), anything else writes the JSON layout.
+    exactly, dead rows and all.  It is one zlib-packed columnar RBF record
+    (runs are cold data — write once, read on recovery).
     """
     rows = [list(rankings[rid].items) for rid in range(len(rankings))]
-    if path.suffix == RUN_BINARY_SUFFIX:
-        record = pack_record(KIND_RUN, encode_run_payload(keys, rows), compress=True)
-        atomic_write_bytes(path, record)
-        return
-    atomic_write_json(path, {"keys": list(keys), "items": rows})
+    record = pack_record(KIND_RUN, encode_run_payload(keys, rows), compress=True)
+    atomic_write_bytes(path, record)
 
 
 def read_run(path: Path) -> tuple[tuple[int, ...], RankingSet]:
-    """Load one immutable run written by :func:`write_run` (either format)."""
-    if path.suffix == RUN_BINARY_SUFFIX:
-        raw = path.read_bytes()
-        try:
-            kind, payload, end = unpack_record(raw)
-            if kind != KIND_RUN:
-                raise CorruptRecordError(f"unexpected record kind {kind}")
-            if end != len(raw):
-                raise CorruptRecordError(f"{len(raw) - end} trailing bytes", offset=end)
-            keys_list, rows = decode_run_payload(payload)
-        except CorruptRecordError as error:
-            raise CorruptManifestError(path, str(error)) from error
-        return tuple(keys_list), RankingSet.from_lists(rows)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    keys = tuple(int(key) for key in payload["keys"])
-    rankings = RankingSet.from_lists(payload["items"])
-    if len(keys) != len(rankings):
-        raise CorruptManifestError(path, f"{len(keys)} keys but {len(rankings)} rankings")
-    return keys, rankings
+    """Load one immutable run written by :func:`write_run`."""
+    if path.suffix == ".json":
+        # an upgraded directory keeps its JSON-era runs until compaction
+        from repro.live import legacy_json
+
+        return legacy_json.read_run(path)
+    raw = path.read_bytes()
+    try:
+        kind, payload, end = unpack_record(raw)
+        if kind != KIND_RUN:
+            raise CorruptRecordError(f"unexpected record kind {kind}")
+        if end != len(raw):
+            raise CorruptRecordError(f"{len(raw) - end} trailing bytes", offset=end)
+        keys_list, rows = decode_run_payload(payload)
+    except CorruptRecordError as error:
+        raise CorruptManifestError(path, str(error)) from error
+    return tuple(keys_list), RankingSet.from_lists(rows)
 
 
-def run_extension(format: str) -> str:
-    """Run-file extension for a storage format (``"json"`` or ``"binary"``)."""
-    return RUN_BINARY_SUFFIX if format == "binary" else ".json"
-
-
-def segment_filename(segment_id: int, format: str = "json") -> str:
+def segment_filename(segment_id: int) -> str:
     """Relative path of a sealed segment's run file."""
-    return f"{SEGMENTS_DIRNAME}/segment-{segment_id}{run_extension(format)}"
+    return f"{SEGMENTS_DIRNAME}/segment-{segment_id}.rbf"
 
 
-def base_filename(epoch: int, format: str = "json") -> str:
+def base_filename(epoch: int) -> str:
     """Relative path of a base epoch's run file."""
-    return f"base-{epoch}{run_extension(format)}"
+    return f"base-{epoch}.rbf"
 
 
 @dataclass
@@ -197,7 +160,7 @@ class Manifest:
     segment_tombstones: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def to_payload(self) -> dict:
-        """The JSON-serialisable form."""
+        """The plain-dict form :class:`ManifestLog` encodes and diffs."""
         return {
             "format": MANIFEST_FORMAT,
             "k": self.k,
@@ -242,22 +205,6 @@ class Manifest:
         except (KeyError, TypeError, ValueError) as error:
             raise CorruptManifestError(path, str(error)) from error
 
-    def save(self, path: Path) -> Path:
-        """Write the manifest atomically and durably; returns ``path``."""
-        atomic_write_json(path, self.to_payload())
-        return path
-
-    @classmethod
-    def load(cls, path: Path) -> "Manifest":
-        """Read and decode the manifest at ``path``."""
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise CorruptManifestError(path, str(error)) from error
-        if not isinstance(payload, dict):
-            raise CorruptManifestError(path, "manifest must be a JSON object")
-        return cls.from_payload(payload, path)
-
     def referenced_files(self) -> frozenset[str]:
         """Relative filenames of every run this checkpoint depends on."""
         files = {file for _, file in self.segments}
@@ -273,7 +220,7 @@ class Manifest:
 
 
 class ManifestLog:
-    """Incremental binary manifest: one snapshot record plus an edit tail.
+    """Incremental manifest: one snapshot record plus an edit tail.
 
     ``manifest.rbf`` holds a full ``KIND_MANIFEST_SNAPSHOT`` record
     followed by zero or more ``KIND_MANIFEST_EDIT`` records, each carrying

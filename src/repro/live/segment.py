@@ -11,10 +11,9 @@ cached for the segment's lifetime, which is bounded by the next compaction.
 A durable collection spills every sealed segment to an immutable run file
 under ``segments/`` (:meth:`Segment.save` / :meth:`Segment.load`), so a
 restart reloads the run directly instead of replaying the WAL records that
-produced it.  The run format follows the path suffix — ``.json`` for the
-text layout, ``.rbf`` for a zlib-packed columnar RBF record
-(:mod:`repro.codec`) — so a directory can hold runs from both formats
-side by side after an in-place migration.
+produced it.  A run is one zlib-packed columnar RBF record
+(:mod:`repro.codec`); :meth:`Segment.load` also reads the ``.json`` runs a
+directory upgraded from the JSON era still holds.
 
 Local ids ascend with keys, so per-segment tie order is consistent with the
 global key order and bounded merges over segments reproduce a from-scratch

@@ -1,21 +1,16 @@
 """Write-ahead log: every mutation is durable before it is applied.
 
-The log is a JSONL file — one mutation per line, in the order the mutations
-were accepted — so a crashed or restarted service can rebuild its logical
-state by replaying the file.  Records carry a monotonically increasing
-sequence number; a checkpoint remembers the last sequence it covers, and a
-restart replays only the records *after* it (the WAL tail).
-
-A log whose path ends in ``.rbf`` is written in the RBF binary format
-instead (:mod:`repro.codec`): one CRC32-checksummed ``KIND_WAL`` record
-per mutation, with the items as a packed i64 column.  The durability
-model, torn-tail tolerance, and replay semantics are identical — only
-the bytes differ.  Bit flips that JSONL would silently misparse are
-caught by the record checksum and raise :class:`CorruptWalError`.
+The log is a file of RBF records (:mod:`repro.codec`) — one
+CRC32-checksummed ``KIND_WAL`` record per mutation, items as a packed i64
+column, in the order the mutations were accepted — so a crashed or
+restarted service can rebuild its logical state by replaying the file.
+Records carry a monotonically increasing sequence number; a checkpoint
+remembers the last sequence it covers, and a restart replays only the
+records *after* it (the WAL tail).
 
 Durability model
 ----------------
-``append`` always writes the line and flushes the Python buffer to the OS;
+``append`` always writes the record and flushes the Python buffer to the OS;
 what happens next depends on the configured mode:
 
 ``no-sync`` (``sync=False``, the default)
@@ -32,16 +27,17 @@ what happens next depends on the configured mode:
     accounting is exposed as :attr:`appended_seq` (last record written)
     and :attr:`durable_seq` (last record covered by a barrier).
 
-A torn final line (a crash mid-append) is tolerated by :meth:`replay` — the
-partial record never took effect, so it is skipped — while corruption
-anywhere *before* the tail raises :class:`CorruptWalError`, because silently
-dropping an interior mutation would diverge the replayed state from the
+A truncated final record (a crash mid-append) is tolerated by
+:meth:`replay` — the partial record never took effect, so it is skipped —
+while any *complete* record with a bad magic, flag set or checksum raises
+:class:`CorruptWalError`, even at the tail: a failed CRC means the bytes
+changed after they were written, not that the append was interrupted, and
+silently dropping a mutation would diverge the replayed state from the
 served one.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections.abc import Iterator
@@ -68,10 +64,6 @@ WAL_OPERATIONS = ("insert", "delete", "upsert")
 #: The durability modes a log can run under.
 DURABILITY_MODES = ("no-sync", "fsync", "group-commit")
 
-#: Path suffix that selects the RBF binary log format.
-WAL_BINARY_SUFFIX = ".rbf"
-
-
 def fsync_directory(path: Path) -> None:
     """``fsync`` a directory so a freshly created/renamed entry survives.
 
@@ -90,7 +82,7 @@ def fsync_directory(path: Path) -> None:
 
 
 class CorruptWalError(ReproError):
-    """An interior WAL record could not be decoded."""
+    """A WAL record could not be decoded (``line_number`` counts records)."""
 
     def __init__(self, path: Path, line_number: int, reason: str) -> None:
         self.path = path
@@ -106,34 +98,6 @@ class WalRecord:
     op: str
     key: int
     items: Optional[tuple[int, ...]] = None
-
-    def to_json(self) -> str:
-        """Serialise to one JSONL line (no trailing newline)."""
-        payload: dict = {"seq": self.seq, "op": self.op, "key": self.key}
-        if self.items is not None:
-            payload["items"] = list(self.items)
-        return json.dumps(payload, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str) -> "WalRecord":
-        """Parse one JSONL line; raises ``ValueError`` on malformed input."""
-        payload = json.loads(line)
-        if not isinstance(payload, dict):
-            raise ValueError("WAL record must be a JSON object")
-        op = payload.get("op")
-        if op not in WAL_OPERATIONS:
-            raise ValueError(f"unknown WAL operation {op!r}")
-        items = payload.get("items")
-        if op == "delete":
-            items = None
-        elif not isinstance(items, list) or not items:
-            raise ValueError(f"{op} record requires a non-empty 'items' list")
-        return cls(
-            seq=int(payload["seq"]),
-            op=op,
-            key=int(payload["key"]),
-            items=None if items is None else tuple(int(item) for item in items),
-        )
 
     def to_record(self) -> bytes:
         """Serialise to one framed RBF ``KIND_WAL`` record."""
@@ -157,7 +121,7 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """Append-only JSONL mutation log with tail-tolerant replay.
+    """Append-only RBF mutation log with tail-tolerant replay.
 
     Parameters
     ----------
@@ -180,7 +144,7 @@ class WriteAheadLog:
     Examples
     --------
     >>> import tempfile, os
-    >>> path = os.path.join(tempfile.mkdtemp(), "wal.jsonl")
+    >>> path = os.path.join(tempfile.mkdtemp(), "wal.rbf")
     >>> wal = WriteAheadLog(path, commit_batch=2)
     >>> wal.append(WalRecord(seq=1, op="insert", key=0, items=(1, 2, 3)))
     >>> wal.durable_seq                       # batch of 2 not full yet
@@ -205,7 +169,6 @@ class WriteAheadLog:
         if commit_interval is not None and commit_interval <= 0:
             raise ValueError(f"commit_interval must be positive, got {commit_interval}")
         self._path = Path(path)
-        self._binary = self._path.suffix == WAL_BINARY_SUFFIX
         self._commit_batch = commit_batch
         self._commit_interval = commit_interval
         if commit_batch is not None or commit_interval is not None:
@@ -255,11 +218,6 @@ class WriteAheadLog:
         return self._durability
 
     @property
-    def binary(self) -> bool:
-        """Whether this log uses the RBF binary format (``.rbf`` path)."""
-        return self._binary
-
-    @property
     def appended_seq(self) -> int:
         """Sequence number of the last record written by this handle."""
         with self._lock:
@@ -294,10 +252,7 @@ class WriteAheadLog:
         with self._lock:
             if self._handle is None:
                 self._open_for_append()
-            if self._binary:
-                self._handle.write(record.to_record())
-            else:
-                self._handle.write(record.to_json() + "\n")
+            self._handle.write(record.to_record())
             self._handle.flush()
             self._appended_seq = record.seq
             self._m_appends.inc()
@@ -352,54 +307,36 @@ class WriteAheadLog:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         existed = self._path.exists()
         self._trim_torn_tail()
-        if self._binary:
-            self._handle = open(self._path, "ab")
-        else:
-            self._handle = open(self._path, "a", encoding="utf-8")
+        self._handle = open(self._path, "ab")
         if not existed or created_parent:
             # make the new directory entry itself crash-durable
             fsync_directory(self._path.parent)
 
     def _trim_torn_tail(self) -> None:
-        """Drop a partial final line left by a crash mid-append.
+        """Drop a partial final record left by a crash mid-append.
 
         The torn record never committed (replay skips it), but appending
-        after it would glue the next record onto the same line and corrupt
-        the log — so the tail is truncated back to the last newline before
-        the first post-reopen append.
+        after it would glue the next record onto its bytes and corrupt the
+        log — so the tail is truncated back to the last complete record
+        before the first post-reopen append.
         """
         if not self._path.exists():
             return
         with open(self._path, "rb+") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            if size == 0:
+            content = handle.read()
+            keep = 0
+            while keep < len(content):
+                try:
+                    keep = skip_record(content, keep)
+                except TruncatedRecordError:
+                    break  # torn tail: drop it, keep everything before
+                except CorruptRecordError:
+                    # A *complete* record with a damaged header is not a
+                    # torn append — keep the file intact so replay (which
+                    # also CRC-checks payloads) reports it.
+                    return
+            if keep == len(content):
                 return
-            if self._binary:
-                handle.seek(0)
-                content = handle.read(size)
-                keep = 0
-                while keep < size:
-                    try:
-                        end = skip_record(content, keep)
-                    except TruncatedRecordError:
-                        break  # torn tail: drop it, keep everything before
-                    except CorruptRecordError:
-                        # A *complete* record with a damaged header is not a
-                        # torn append — keep the file intact so replay (which
-                        # also CRC-checks payloads) reports it.
-                        keep = size
-                        break
-                    keep = end
-                if keep == size:
-                    return
-            else:
-                handle.seek(size - 1)
-                if handle.read(1) == b"\n":
-                    return
-                handle.seek(0)
-                content = handle.read(size)
-                keep = content.rfind(b"\n") + 1  # 0 when the file is one torn line
             # Dropping an *uncommitted* torn tail needs no fsync: replay
             # already skips it, and the truncation becomes durable with the
             # first post-reopen commit's fsync.
@@ -429,47 +366,14 @@ class WriteAheadLog:
     def replay(self, after_seq: int = 0) -> Iterator[WalRecord]:
         """Yield the records with ``seq > after_seq`` in log order.
 
-        The file is streamed line by line (replay cost is bounded by the log
-        length, not by available memory).  A torn final line is skipped (the
-        mutation never committed); a malformed interior line raises
-        :class:`CorruptWalError`.
-
-        Binary logs walk framed RBF records instead: a truncated final
-        record is skipped (torn append), while any *complete* record with a
-        bad magic, flag set, or checksum raises :class:`CorruptWalError` —
-        even at the tail, because a failed CRC means the bytes changed after
-        they were written, not that the append was interrupted.
+        A truncated final record is skipped (torn append: the mutation
+        never committed), while any *complete* record with a bad magic,
+        flag set, or checksum raises :class:`CorruptWalError` — even at the
+        tail, because a failed CRC means the bytes changed after they were
+        written, not that the append was interrupted.
         """
         if not self._path.exists():
             return
-        if self._binary:
-            yield from self._replay_binary(after_seq)
-            return
-        with open(self._path, encoding="utf-8") as handle:
-            pending: Optional[tuple[int, str]] = None
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                if pending is not None:
-                    record = self._decode(*pending, torn_ok=False)
-                    assert record is not None
-                    if record.seq > after_seq:
-                        yield record
-                pending = (line_number, line)
-            if pending is not None:
-                record = self._decode(*pending, torn_ok=True)
-                if record is not None and record.seq > after_seq:
-                    yield record
-
-    def _decode(self, line_number: int, line: str, torn_ok: bool) -> Optional[WalRecord]:
-        try:
-            return WalRecord.from_json(line)
-        except (ValueError, KeyError, TypeError) as error:
-            if torn_ok:
-                return None  # torn tail: the append never completed
-            raise CorruptWalError(self._path, line_number, str(error)) from error
-
-    def _replay_binary(self, after_seq: int) -> Iterator[WalRecord]:
         content = self._path.read_bytes()
         offset = 0
         record_number = 0
@@ -491,28 +395,21 @@ class WriteAheadLog:
     def record_count(self) -> int:
         """Committed records currently in the file (torn tail excluded).
 
-        A raw line scan, no JSON decoding — startup accounting should not
-        re-parse the log the replay pass already decoded.  Binary logs
-        walk record headers only (:func:`repro.codec.skip_record`), no
-        CRC or decompression, for the same reason.
+        Walks record headers only (:func:`repro.codec.skip_record`), no CRC
+        check or payload decoding — startup accounting should not re-parse
+        the log the replay pass already decoded.
         """
         if not self._path.exists():
             return 0
+        content = self._path.read_bytes()
         count = 0
-        if self._binary:
-            content = self._path.read_bytes()
-            offset = 0
-            while offset < len(content):
-                try:
-                    offset = skip_record(content, offset)
-                except CorruptRecordError:
-                    break  # torn or damaged tail; replay decides what it means
-                count += 1
-            return count
-        with open(self._path, "rb") as handle:
-            for line in handle:
-                if line.endswith(b"\n") and line.strip():
-                    count += 1
+        offset = 0
+        while offset < len(content):
+            try:
+                offset = skip_record(content, offset)
+            except CorruptRecordError:
+                break  # torn or damaged tail; replay decides what it means
+            count += 1
         return count
 
     def last_seq(self) -> int:
@@ -540,16 +437,10 @@ class WriteAheadLog:
             self.close()
             temporary = self._path.with_suffix(self._path.suffix + ".tmp")
             mark_io("fsync:wal-truncate")
-            if self._binary:
-                with open(temporary, "wb") as handle:
-                    handle.write(b"".join(record.to_record() for record in kept))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            else:
-                with open(temporary, "w", encoding="utf-8") as handle:
-                    handle.write("".join(record.to_json() + "\n" for record in kept))
-                    handle.flush()
-                    os.fsync(handle.fileno())
+            with open(temporary, "wb") as handle:
+                handle.write(b"".join(record.to_record() for record in kept))
+                handle.flush()
+                os.fsync(handle.fileno())
             temporary.replace(self._path)
             fsync_directory(self._path.parent)
             # the rewrite itself was fsynced, so every kept record is durable

@@ -68,16 +68,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.lookups
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat dictionary view for reports and benchmarks."""
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "invalidations": float(self.invalidations),
-            "hit_rate": self.hit_rate,
-        }
-
 
 class LRUResultCache:
     """Thread-safe least-recently-used cache with a hard capacity bound.

@@ -116,8 +116,7 @@ class EngineStats:
         The schema mirrors :meth:`repro.live.collection.LiveStats.as_dict`
         — snake_case keys grouped one level deep by category, integer
         counters, float latencies/rates — so a metrics exporter can map
-        static and live stats with the same code.  The pre-normalisation
-        flat shape survives as :meth:`as_flat_dict`.
+        static and live stats with the same code.
         """
         return {
             "requests": {
@@ -139,20 +138,6 @@ class EngineStats:
                 "invalidations": self.cache.invalidations,
                 "hit_rate": self.cache.hit_rate,
             },
-        }
-
-    def as_flat_dict(self) -> dict:
-        """Compatibility shim: the flat pre-PR-6 key layout."""
-        return {
-            "requests": self.requests,
-            "queries": self.queries,
-            "knn_queries": self.knn_queries,
-            "cache_hits": self.cache_hits,
-            "rebuilds": self.rebuilds,
-            "total_latency_seconds": self.total_latency_seconds,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "algorithm_counts": dict(self.algorithm_counts),
-            "cache": self.cache.as_dict(),
         }
 
 

@@ -441,8 +441,9 @@ class TestCliServeAndClient:
             assert cli_main([*base, "--delete", "99999"]) == 1  # unknown key
             # durable serving: snapshot works because --dir attached a WAL
             assert cli_main([*base, "--admin", "snapshot"]) == 0
-            assert "manifest.json" in capsys.readouterr().out
-            assert (state_dir / "manifest.json").exists()
+            assert "manifest.rbf" in capsys.readouterr().out
+            assert (state_dir / "manifest.rbf").exists()
+            assert (state_dir / "wal.rbf").exists()
             assert cli_main([*base, "--admin", "shutdown"]) == 0
         finally:
             thread.join(timeout=10.0)

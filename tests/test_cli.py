@@ -137,8 +137,8 @@ class TestIngest:
         assert "replayed 14 WAL record(s)" in output
         assert "live rankings: 12" in output
         assert "snapshot written" in output
-        assert (live_dir / "manifest.json").exists()
-        assert (live_dir / "wal.jsonl").read_text(encoding="utf-8") == ""  # truncated
+        assert (live_dir / "manifest.rbf").exists()
+        assert (live_dir / "wal.rbf").read_bytes() == b""  # truncated
 
     def test_ingest_reports_durability_mode(self, mutation_file, tmp_path, capsys):
         live_dir = tmp_path / "durable"
@@ -156,45 +156,33 @@ class TestIngest:
         assert "may be lost" in output
 
     def test_ingest_binary_format_persists_and_replays(self, mutation_file, tmp_path, capsys):
+        """A fresh --dir is RBF and nothing else (replay: the test above)."""
         live_dir = tmp_path / "binary"
-        assert main(
-            ["ingest", str(mutation_file), "--dir", str(live_dir), "--format", "binary"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "durability: no-sync, binary storage" in output
+        assert main(["ingest", str(mutation_file), "--dir", str(live_dir), "--snapshot"]) == 0
+        assert "durability: no-sync  (" in capsys.readouterr().out  # one format: not reported
         assert (live_dir / "wal.rbf").exists()
-        assert not (live_dir / "wal.jsonl").exists()
+        assert (live_dir / "manifest.rbf").exists()
+        assert not [p for p in live_dir.rglob("*") if p.suffix in (".json", ".jsonl")]
+
+    def test_ingest_format_migrates_json_directory(self, tmp_path, capsys):
+        """A JSON-era --dir is upgraded on open: replay reported, no wal.jsonl left."""
+        live_dir = tmp_path / "migrate"
+        live_dir.mkdir()
+        (live_dir / "wal.jsonl").write_text(
+            '{"seq":1,"op":"insert","key":0,"items":[0,10,20,30]}\n'
+            '{"seq":2,"op":"insert","key":1,"items":[1,11,21,31]}\n'
+            '{"seq":3,"op":"delete","key":0}\n',
+            encoding="utf-8",
+        )
         more = self.write_stream(
             tmp_path / "more.jsonl", [{"op": "insert", "items": [100, 101, 102, 103]}]
         )
-        # reopening without --format autodetects the binary directory
         assert main(["ingest", str(more), "--dir", str(live_dir)]) == 0
         output = capsys.readouterr().out
-        assert "replayed 14 WAL record(s)" in output
-        assert "live rankings: 12" in output
-        assert "binary storage" in output
-
-    def test_ingest_format_migrates_json_directory(self, mutation_file, tmp_path, capsys):
-        live_dir = tmp_path / "migrate"
-        assert main(["ingest", str(mutation_file), "--dir", str(live_dir)]) == 0
-        capsys.readouterr()
-        assert (live_dir / "wal.jsonl").exists()
-        more = self.write_stream(
-            tmp_path / "more.jsonl", [{"op": "insert", "items": [100, 101, 102, 103]}]
-        )
-        assert main(
-            ["ingest", str(more), "--dir", str(live_dir), "--format", "binary"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "replayed 14 WAL record(s)" in output
-        assert "live rankings: 12" in output
-        assert "binary storage" in output
+        assert "replayed 3 WAL record(s)" in output
+        assert "live rankings: 2" in output
         assert not (live_dir / "wal.jsonl").exists()
-        assert not (live_dir / "manifest.json").exists()
-
-    def test_ingest_format_requires_dir(self, mutation_file, capsys):
-        assert main(["ingest", str(mutation_file), "--format", "binary"]) == 2
-        assert "requires --dir" in capsys.readouterr().err
+        assert (live_dir / "manifest.rbf").exists()
 
     def test_ingest_durability_flags_require_dir(self, mutation_file, capsys):
         assert main(["ingest", str(mutation_file), "--fsync"]) == 2
@@ -257,17 +245,6 @@ class TestServeShardSpec:
         assert "--live" in capsys.readouterr().err
         assert cli_main(["serve", "--shard", "0/2"]) == 2
         assert "rankings file" in capsys.readouterr().err
-
-    def test_serve_format_requires_live_dir(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
-        dataset = tmp_path / "data.tsv"
-        assert cli_main(["generate", str(dataset), "--n", "10", "--k", "4"]) == 0
-        capsys.readouterr()
-        assert cli_main(["serve", str(dataset), "--format", "binary"]) == 2
-        assert "--live --dir" in capsys.readouterr().err
-        assert cli_main(["serve", str(dataset), "--live", "--format", "binary"]) == 2
-        assert "--live --dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["2", "a/b", "2/2", "-1/2", "0/0"])
     def test_malformed_shard_specs_are_rejected(self, tmp_path, capsys, spec):

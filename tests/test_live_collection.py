@@ -207,4 +207,3 @@ def test_stats_mutation_totals():
     assert (stats.inserts, stats.deletes, stats.upserts) == (2, 1, 1)
     assert stats.mutations == 4
     assert stats.as_dict()["mutations"]["inserts"] == 2
-    assert stats.as_flat_dict()["inserts"] == 2

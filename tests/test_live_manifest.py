@@ -1,17 +1,16 @@
-"""Manifest unit tests: payload round trips, durable writes, corruption."""
+"""Manifest unit tests: payload round trips, runs, corruption."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.core.ranking import RankingSet
+from repro.live import legacy_json
 from repro.live.manifest import (
     MANIFEST_FILENAME,
     CorruptManifestError,
     Manifest,
-    atomic_write_json,
+    ManifestLog,
     base_filename,
     read_run,
     segment_filename,
@@ -33,8 +32,8 @@ def sample_manifest() -> Manifest:
 
 def test_payload_round_trip(tmp_path):
     manifest = sample_manifest()
-    path = manifest.save(tmp_path / MANIFEST_FILENAME)
-    assert Manifest.load(path) == manifest
+    ManifestLog(tmp_path / MANIFEST_FILENAME).rewrite(manifest)
+    assert ManifestLog(tmp_path / MANIFEST_FILENAME).load() == manifest
 
 
 def test_referenced_files_cover_base_and_segments():
@@ -46,39 +45,31 @@ def test_referenced_files_cover_base_and_segments():
 
 
 def test_empty_manifest_round_trip(tmp_path):
-    manifest = Manifest()
-    path = manifest.save(tmp_path / MANIFEST_FILENAME)
-    loaded = Manifest.load(path)
+    ManifestLog(tmp_path / MANIFEST_FILENAME).rewrite(Manifest())
+    loaded = ManifestLog(tmp_path / MANIFEST_FILENAME).load()
     assert loaded.k is None
     assert loaded.base is None
     assert loaded.segments == []
     assert loaded.covered_seq == 0
 
 
-def test_atomic_write_leaves_no_temp_file(tmp_path):
-    path = tmp_path / "nested" / "state.json"
-    atomic_write_json(path, {"hello": [1, 2, 3]})
-    assert json.loads(path.read_text(encoding="utf-8")) == {"hello": [1, 2, 3]}
-    assert list(path.parent.glob("*.tmp")) == []
-
-
 def test_corrupt_manifest_raises(tmp_path):
-    path = tmp_path / MANIFEST_FILENAME
+    path = tmp_path / legacy_json.MANIFEST_FILENAME
     path.write_text("{ not json", encoding="utf-8")
     with pytest.raises(CorruptManifestError):
-        Manifest.load(path)
+        legacy_json.load_manifest(path)
     path.write_text('["a", "list"]', encoding="utf-8")
     with pytest.raises(CorruptManifestError):
-        Manifest.load(path)
+        legacy_json.load_manifest(path)
     path.write_text('{"format": 99, "k": 3}', encoding="utf-8")
     with pytest.raises(CorruptManifestError):
-        Manifest.load(path)
+        legacy_json.load_manifest(path)
 
 
 def test_run_round_trip_preserves_row_order(tmp_path):
     rankings = RankingSet.from_lists([[1, 2, 3], [9, 8, 7], [4, 5, 6]])
     keys = (10, 3, 7)  # deliberately not sorted: row order is authoritative
-    path = tmp_path / "run.json"
+    path = tmp_path / "run.rbf"
     write_run(path, keys, rankings)
     loaded_keys, loaded_rankings = read_run(path)
     assert loaded_keys == keys

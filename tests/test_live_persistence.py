@@ -6,9 +6,24 @@ import json
 import random
 
 from repro.core.ranking import Ranking
-from repro.live import LiveCollection
-from repro.live.collection import SNAPSHOT_FILENAME, WAL_FILENAME
-from repro.live.manifest import MANIFEST_FILENAME, SEGMENTS_DIRNAME, Manifest
+from repro.live import LiveCollection, WalRecord, WriteAheadLog
+from repro.live.collection import WAL_FILENAME
+from repro.live.legacy_json import SNAPSHOT_FILENAME
+from repro.live.manifest import MANIFEST_FILENAME, SEGMENTS_DIRNAME, Manifest, ManifestLog
+
+
+def wal_length(directory) -> int:
+    return WriteAheadLog(directory / WAL_FILENAME).record_count()
+
+
+def load_manifest(directory) -> Manifest:
+    return ManifestLog(directory / MANIFEST_FILENAME).load()
+
+
+def answer_bytes(live: LiveCollection, query: Ranking) -> bytes:
+    matches = [(m.rid, m.distance, m.ranking.items) for m in live.range_query(query, 0.6).matches]
+    neighbours = [(n.rid, n.distance, n.ranking.items) for n in live.knn(query, 4).neighbours]
+    return json.dumps([matches, neighbours]).encode()
 
 
 def logical_state(live: LiveCollection) -> list[tuple[int, tuple[int, ...]]]:
@@ -117,7 +132,7 @@ def test_restart_after_compaction_recovers_from_the_new_base(tmp_path):
     assert reopened.segment_count == 0
     assert logical_state(reopened) == expected
     # superseded run files were deleted with the manifest rewrite
-    assert not list((tmp_path / SEGMENTS_DIRNAME).glob("segment-*.json"))
+    assert not list((tmp_path / SEGMENTS_DIRNAME).iterdir())
     reopened.close()
 
 
@@ -126,11 +141,10 @@ def test_snapshot_truncates_covered_wal_records(tmp_path):
     for i in range(20):
         live.insert([i, i + 30, i + 60])
     live.snapshot()
-    wal_path = tmp_path / WAL_FILENAME
-    assert wal_path.read_text(encoding="utf-8") == ""  # fully covered
+    assert (tmp_path / WAL_FILENAME).read_bytes() == b""  # fully covered
     for i in range(3):
         live.insert([100 + i, 200 + i, 300 + i])
-    assert len(wal_path.read_text(encoding="utf-8").splitlines()) == 3  # tail only
+    assert wal_length(tmp_path) == 3  # tail only
     live.close()
 
     reopened = reopen(tmp_path, memtable_threshold=100)
@@ -162,8 +176,7 @@ def test_automatic_snapshot_policy_bounds_replay(tmp_path):
     churn(live, rng, 200)
     expected = logical_state(live)
     assert live.stats().snapshots >= 200 // bound - 1  # policy actually fired
-    wal_lines = (tmp_path / WAL_FILENAME).read_text(encoding="utf-8").splitlines()
-    assert len(wal_lines) <= bound
+    assert wal_length(tmp_path) <= bound
     live.close()
 
     reopened = reopen(tmp_path, snapshot_every=bound)
@@ -177,8 +190,7 @@ def test_policy_disabled_keeps_snapshots_manual(tmp_path):
     for i in range(30):
         live.insert([i, i + 40, i + 80])
     assert live.stats().snapshots == 0
-    wal_lines = (tmp_path / WAL_FILENAME).read_text(encoding="utf-8").splitlines()
-    assert len(wal_lines) == 30  # nothing truncated
+    assert wal_length(tmp_path) == 30  # nothing truncated
     live.close()
 
 
@@ -201,15 +213,15 @@ def test_torn_wal_tail_is_ignored_on_restart(tmp_path):
     live.insert([1, 2, 3])
     live.insert([4, 5, 6])
     live.close()
-    with open(tmp_path / WAL_FILENAME, "a", encoding="utf-8") as handle:
-        handle.write('{"seq": 3, "op": "insert", "key": 2, "items": [7,')
+    with open(tmp_path / WAL_FILENAME, "ab") as handle:
+        handle.write(WalRecord(seq=3, op="insert", key=2, items=(7, 8, 9)).to_record()[:-5])
     reopened = reopen(tmp_path, memtable_threshold=100)
     assert reopened.live_keys() == [0, 1]
     # the next mutation reuses the uncommitted sequence number
     reopened.insert([7, 8, 9])
     assert reopened._seq == 3
     reopened.close()
-    # and that mutation survives another restart: the torn line was repaired,
+    # and that mutation survives another restart: the torn record was repaired,
     # not glued onto (which would silently drop the acknowledged insert)
     final = reopen(tmp_path, memtable_threshold=100)
     assert final.live_keys() == [0, 1, 2]
@@ -236,13 +248,20 @@ def test_in_memory_collection_rejects_snapshot():
 
 
 def test_snapshot_exports_to_explicit_directory(tmp_path):
-    live = LiveCollection()
-    live.insert([1, 2, 3])
+    """A backup is an RBF directory like any other, whatever it was taken from."""
+    live = reopen(tmp_path / "state")
+    churn(live, random.Random(21), 30)
+    query = Ranking([1, 2, 3, 4, 5])
+    expected = answer_bytes(live, query)
     path = live.snapshot(tmp_path / "backup")
-    assert path.name == MANIFEST_FILENAME
+    next_key = live._next_key
+    live.close()
+    assert path == tmp_path / "backup" / MANIFEST_FILENAME
+    files = sorted(p.name for p in (tmp_path / "backup").rglob("*") if p.is_file())
+    assert files == ["base-0.rbf", MANIFEST_FILENAME]
     restored = reopen(tmp_path / "backup")
-    assert logical_state(restored) == [(0, (1, 2, 3))]
-    assert restored.insert([4, 5, 6]) == 1  # key counter travelled too
+    assert answer_bytes(restored, query) == expected
+    assert restored.insert([41, 42, 43, 44, 45]) == next_key  # key counter travelled too
     restored.close()
 
 
@@ -259,9 +278,9 @@ def test_legacy_whole_state_snapshot_still_loads(tmp_path):
     assert live.live_keys() == [0, 2, 5]
     assert live.get(2) == Ranking([4, 5, 6])
     assert live.insert([10, 11, 12]) == 6
-    # the first checkpoint upgrades the directory to the manifest format
-    live.snapshot()
+    # opening upgraded the directory: one RBF checkpoint, the snapshot is gone
     assert (tmp_path / MANIFEST_FILENAME).exists()
+    assert (tmp_path / "base-0.rbf").exists()
     assert not (tmp_path / SNAPSHOT_FILENAME).exists()
     live.close()
 
@@ -277,17 +296,17 @@ def test_orphaned_run_files_are_garbage_collected(tmp_path):
         live.insert([i, i + 10, i + 20, i + 30, i + 40])
     expected = logical_state(live)
     live.close()
-    orphan_segment = tmp_path / SEGMENTS_DIRNAME / "segment-99.json"
-    orphan_segment.write_text('{"keys": [0], "items": [[1, 2, 3, 4, 5]]}', encoding="utf-8")
-    orphan_base = tmp_path / "base-7.json"
+    orphan_segment = tmp_path / SEGMENTS_DIRNAME / "segment-99.rbf"
+    orphan_segment.write_bytes((tmp_path / SEGMENTS_DIRNAME / "segment-0.rbf").read_bytes())
+    orphan_base = tmp_path / "base-7.json"  # an upgraded directory's leftovers go too
     orphan_base.write_text('{"keys": [0], "items": [[1, 2, 3, 4, 5]]}', encoding="utf-8")
-    (tmp_path / "manifest.json.tmp").write_text("{", encoding="utf-8")
+    (tmp_path / "manifest.rbf.tmp").write_bytes(b"RBF")
 
     reopened = reopen(tmp_path, max_segments=10)
     assert logical_state(reopened) == expected
     assert not orphan_segment.exists()
     assert not orphan_base.exists()
-    assert not (tmp_path / "manifest.json.tmp").exists()
+    assert not (tmp_path / "manifest.rbf.tmp").exists()
     reopened.close()
 
 
@@ -302,17 +321,16 @@ def test_compaction_after_restart_does_not_reuse_base_filename(tmp_path):
     live = reopen(tmp_path, memtable_threshold=2, max_segments=10)
     for i in range(6):
         live.insert([i, i + 100, i + 200])
-    assert live.compact() is True  # base-1.json
+    assert live.compact() is True  # base-1.rbf
     live.close()
 
     middle = reopen(tmp_path, memtable_threshold=2, max_segments=10)
     for i in range(6, 10):
         middle.insert([i, i + 100, i + 200])
-    assert middle.compact() is True  # must land in base-2.json, not base-1.json
+    assert middle.compact() is True  # must land in base-2.rbf, not base-1.rbf
     expected = logical_state(middle)
-    manifest = Manifest.load(tmp_path / MANIFEST_FILENAME)
-    assert manifest.base == "base-2.json"
-    assert (tmp_path / "base-2.json").exists()
+    assert load_manifest(tmp_path).base == "base-2.rbf"
+    assert (tmp_path / "base-2.rbf").exists()
     middle.close()
 
     final = reopen(tmp_path, memtable_threshold=2, max_segments=10)
@@ -347,7 +365,7 @@ def test_snapshot_recognises_its_own_directory_spelled_differently(tmp_path):
     alias.symlink_to(tmp_path / "state")
     assert alias != live._directory  # lexically different...
     live.snapshot(alias)             # ...but the same directory
-    assert (tmp_path / "state" / WAL_FILENAME).read_text(encoding="utf-8") == ""
+    assert (tmp_path / "state" / WAL_FILENAME).read_bytes() == b""
     assert live.stats().snapshots == 1
     live.close()
 
@@ -357,7 +375,7 @@ def test_manifest_names_only_live_files(tmp_path):
     for i in range(8):
         live.insert([i, i + 10, i + 20, i + 30, i + 40])
     live.close()
-    manifest = Manifest.load(tmp_path / MANIFEST_FILENAME)
+    manifest = load_manifest(tmp_path)
     for filename in manifest.referenced_files():
         assert (tmp_path / filename).exists()
     assert manifest.covered_seq == 8

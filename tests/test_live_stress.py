@@ -15,7 +15,6 @@ Two families:
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 
@@ -32,7 +31,7 @@ from repro.core.distances import (
     unnormalize_distance,
 )
 from repro.core.ranking import Ranking
-from repro.live import LiveCollection
+from repro.live import LiveCollection, WalRecord, WriteAheadLog
 
 @pytest.fixture(autouse=True)
 def _no_lock_inversions():
@@ -222,14 +221,14 @@ def apply_tracked(live: LiveCollection, rng: random.Random, count: int):
 
 def simulate_fsync_boundary_crash(wal_path, durable_seq: int, torn: bool) -> None:
     """Rewrite the WAL to what disk holds after losing the un-fsynced suffix."""
-    lines = wal_path.read_text(encoding="utf-8").splitlines()
     survivors = [
-        line for line in lines if json.loads(line)["seq"] <= durable_seq
+        record for record in WriteAheadLog(wal_path).replay() if record.seq <= durable_seq
     ]
-    content = "".join(line + "\n" for line in survivors)
+    content = b"".join(record.to_record() for record in survivors)
     if torn:
-        content += '{"seq": 99999, "op": "insert", "key": 9'  # mid-append tear
-    wal_path.write_text(content, encoding="utf-8")
+        torn_record = WalRecord(seq=99999, op="insert", key=9, items=tuple(range(K)))
+        content += torn_record.to_record()[:-3]  # mid-append tear
+    wal_path.write_bytes(content)
 
 
 def recover_and_check(tmp_path, shadows, durable_seq: int, covered_seq: int) -> None:
@@ -251,7 +250,7 @@ def test_group_commit_crash_preserves_every_committed_write(tmp_path):
     covered_seq = live._covered_seq
     assert durable_seq < live._seq  # a partial batch is genuinely pending
     live.close()  # the close barrier is irrelevant: the crash rewrite decides
-    simulate_fsync_boundary_crash(tmp_path / "wal.jsonl", durable_seq, torn=True)
+    simulate_fsync_boundary_crash(tmp_path / "wal.rbf", durable_seq, torn=True)
     recover_and_check(tmp_path, shadows, durable_seq, covered_seq)
 
 
@@ -265,7 +264,7 @@ def test_per_record_fsync_crash_loses_at_most_the_torn_append(tmp_path):
     assert durable_seq == live._seq  # every acknowledged record hit the platter
     covered_seq = live._covered_seq
     live.close()
-    simulate_fsync_boundary_crash(tmp_path / "wal.jsonl", durable_seq, torn=True)
+    simulate_fsync_boundary_crash(tmp_path / "wal.rbf", durable_seq, torn=True)
     recover_and_check(tmp_path, shadows, durable_seq, covered_seq)
 
 
@@ -279,7 +278,7 @@ def test_no_sync_crash_still_recovers_a_consistent_prefix(tmp_path):
     covered_seq = live._covered_seq
     live.close()
     # disk kept an arbitrary flush-boundary prefix of the un-fsynced log
-    simulate_fsync_boundary_crash(tmp_path / "wal.jsonl", durable_seq=17, torn=True)
+    simulate_fsync_boundary_crash(tmp_path / "wal.rbf", durable_seq=17, torn=True)
     recover_and_check(tmp_path, shadows, durable_seq=min(17, covered_seq), covered_seq=0)
 
 

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.live import legacy_json
 from repro.live.wal import CorruptWalError, WalRecord, WriteAheadLog
 
 
@@ -20,7 +21,7 @@ def make_records(count: int) -> list[WalRecord]:
 
 
 def test_append_replay_round_trip(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl")
+    wal = WriteAheadLog(tmp_path / "wal.rbf")
     records = make_records(7)
     for record in records:
         wal.append(record)
@@ -29,7 +30,7 @@ def test_append_replay_round_trip(tmp_path):
 
 
 def test_replay_skips_up_to_sequence(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl")
+    wal = WriteAheadLog(tmp_path / "wal.rbf")
     records = make_records(10)
     for record in records:
         wal.append(record)
@@ -39,68 +40,71 @@ def test_replay_skips_up_to_sequence(tmp_path):
 
 
 def test_replay_of_missing_file_is_empty(tmp_path):
-    wal = WriteAheadLog(tmp_path / "never-created.jsonl")
+    wal = WriteAheadLog(tmp_path / "never-created.rbf")
     assert list(wal.replay()) == []
     assert wal.last_seq() == 0
     assert not wal.exists
 
 
 def test_last_seq_reports_newest_record(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl")
+    wal = WriteAheadLog(tmp_path / "wal.rbf")
     for record in make_records(5):
         wal.append(record)
     assert wal.last_seq() == 5
 
 
+def tear(path) -> None:
+    """Append the first bytes of a record: a crash mid-append."""
+    with open(path, "ab") as handle:
+        handle.write(WalRecord(seq=99, op="insert", key=98, items=(1, 2, 3)).to_record()[:11])
+
+
 def test_torn_final_line_is_tolerated(tmp_path):
-    path = tmp_path / "wal.jsonl"
+    path = tmp_path / "wal.rbf"
     wal = WriteAheadLog(path)
     records = make_records(4)
     for record in records:
         wal.append(record)
     wal.close()
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"seq": 5, "op": "ins')  # crash mid-append
+    tear(path)
     assert list(wal.replay()) == records
 
 
 def test_append_after_torn_tail_repairs_the_log(tmp_path):
-    """A post-crash append must not glue onto the torn line (data loss)."""
-    path = tmp_path / "wal.jsonl"
+    """A post-crash append must not glue onto the torn record (data loss)."""
+    path = tmp_path / "wal.rbf"
     wal = WriteAheadLog(path)
     records = make_records(2)
     for record in records:
         wal.append(record)
     wal.close()
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"seq": 3, "op": "ins')  # crash mid-append
+    intact = path.read_bytes()
+    tear(path)
     reopened = WriteAheadLog(path)
     fresh = WalRecord(seq=3, op="insert", key=2, items=(7, 8, 9))
     reopened.append(fresh)
     reopened.close()
-    # the torn line is gone and the new record is a committed, parseable tail
+    # the torn bytes are gone and the new record is a committed, decodable tail
     assert list(reopened.replay()) == records + [fresh]
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 3
-    assert path.read_text(encoding="utf-8").endswith("\n")
+    assert path.read_bytes() == intact + fresh.to_record()
 
 
 def test_interior_corruption_raises(tmp_path):
-    path = tmp_path / "wal.jsonl"
+    path = tmp_path / "wal.rbf"
     wal = WriteAheadLog(path)
     for record in make_records(4):
         wal.append(record)
     wal.close()
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[1] = "not json at all"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    raw = bytearray(path.read_bytes())
+    raw[len(make_records(1)[0].to_record()) + 20] ^= 0xFF  # inside the second record
+    path.write_bytes(bytes(raw))
     with pytest.raises(CorruptWalError) as excinfo:
         list(wal.replay())
     assert excinfo.value.line_number == 2
 
 
 def test_truncate_through_drops_covered_records(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl")
+    wal = WriteAheadLog(tmp_path / "wal.rbf")
     for record in make_records(10):
         wal.append(record)
     kept = wal.truncate_through(7)
@@ -113,7 +117,7 @@ def test_truncate_through_drops_covered_records(tmp_path):
 
 
 def test_truncate_through_everything_leaves_empty_log(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl")
+    wal = WriteAheadLog(tmp_path / "wal.rbf")
     for record in make_records(4):
         wal.append(record)
     assert wal.truncate_through(4) == 0
@@ -124,16 +128,16 @@ def test_truncate_through_everything_leaves_empty_log(tmp_path):
 
 def test_unknown_operation_is_rejected():
     with pytest.raises(ValueError):
-        WalRecord.from_json('{"seq": 1, "op": "truncate", "key": 0}')
+        legacy_json.record_from_json('{"seq": 1, "op": "truncate", "key": 0}')
 
 
 def test_insert_requires_items():
     with pytest.raises(ValueError):
-        WalRecord.from_json('{"seq": 1, "op": "insert", "key": 0}')
+        legacy_json.record_from_json('{"seq": 1, "op": "insert", "key": 0}')
 
 
 def test_reopened_log_appends_after_existing_records(tmp_path):
-    path = tmp_path / "wal.jsonl"
+    path = tmp_path / "wal.rbf"
     with WriteAheadLog(path) as wal:
         for record in make_records(3):
             wal.append(record)
@@ -143,30 +147,29 @@ def test_reopened_log_appends_after_existing_records(tmp_path):
 
 
 def test_delete_record_drops_payload():
-    record = WalRecord.from_json('{"seq": 2, "op": "delete", "key": 5, "items": [1, 2]}')
-    assert record.items is None
-    assert "items" not in record.to_json()
+    record = legacy_json.record_from_json('{"seq": 2, "op": "delete", "key": 5, "items": [1, 2]}')
+    assert record == WalRecord(seq=2, op="delete", key=5)
 
 
 # -- durability modes ---------------------------------------------------------------
 
 
 def test_durability_mode_is_inferred_from_configuration(tmp_path):
-    assert WriteAheadLog(tmp_path / "a.jsonl").durability == "no-sync"
-    assert WriteAheadLog(tmp_path / "b.jsonl", sync=True).durability == "fsync"
-    assert WriteAheadLog(tmp_path / "c.jsonl", commit_batch=8).durability == "group-commit"
-    assert WriteAheadLog(tmp_path / "d.jsonl", commit_interval=1.0).durability == "group-commit"
+    assert WriteAheadLog(tmp_path / "a.rbf").durability == "no-sync"
+    assert WriteAheadLog(tmp_path / "b.rbf", sync=True).durability == "fsync"
+    assert WriteAheadLog(tmp_path / "c.rbf", commit_batch=8).durability == "group-commit"
+    assert WriteAheadLog(tmp_path / "d.rbf", commit_interval=1.0).durability == "group-commit"
 
 
 def test_invalid_commit_configuration_rejected(tmp_path):
     with pytest.raises(ValueError):
-        WriteAheadLog(tmp_path / "wal.jsonl", commit_batch=0)
+        WriteAheadLog(tmp_path / "wal.rbf", commit_batch=0)
     with pytest.raises(ValueError):
-        WriteAheadLog(tmp_path / "wal.jsonl", commit_interval=0.0)
+        WriteAheadLog(tmp_path / "wal.rbf", commit_interval=0.0)
 
 
 def test_fsync_mode_commits_every_record(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl", sync=True)
+    wal = WriteAheadLog(tmp_path / "wal.rbf", sync=True)
     for record in make_records(5):
         wal.append(record)
     assert wal.commits == 5
@@ -176,7 +179,7 @@ def test_fsync_mode_commits_every_record(tmp_path):
 
 
 def test_group_commit_batches_fsyncs(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl", commit_batch=4)
+    wal = WriteAheadLog(tmp_path / "wal.rbf", commit_batch=4)
     for record in make_records(10):
         wal.append(record)
     # two full batches committed, two records still pending
@@ -194,7 +197,7 @@ def test_group_commit_batches_fsyncs(tmp_path):
 
 
 def test_group_commit_interval_commits_an_aged_batch(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl", commit_interval=0.02)
+    wal = WriteAheadLog(tmp_path / "wal.rbf", commit_interval=0.02)
     records = make_records(3)
     wal.append(records[0])
     assert wal.durable_seq == 0  # batch just opened
@@ -207,7 +210,7 @@ def test_group_commit_interval_commits_an_aged_batch(tmp_path):
 
 
 def test_group_commit_close_commits_the_tail(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl", commit_batch=100)
+    wal = WriteAheadLog(tmp_path / "wal.rbf", commit_batch=100)
     for record in make_records(3):
         wal.append(record)
     assert wal.durable_seq == 0
@@ -216,7 +219,7 @@ def test_group_commit_close_commits_the_tail(tmp_path):
 
 
 def test_no_sync_mode_only_syncs_explicitly(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl")
+    wal = WriteAheadLog(tmp_path / "wal.rbf")
     for record in make_records(4):
         wal.append(record)
     assert wal.commits == 0
@@ -228,7 +231,7 @@ def test_no_sync_mode_only_syncs_explicitly(tmp_path):
 
 
 def test_truncate_through_resets_batch_accounting(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.jsonl", commit_batch=100)
+    wal = WriteAheadLog(tmp_path / "wal.rbf", commit_batch=100)
     for record in make_records(6):
         wal.append(record)
     assert wal.pending_records == 6
@@ -243,15 +246,14 @@ def test_truncate_through_resets_batch_accounting(tmp_path):
 
 
 def test_record_count_scans_without_decoding(tmp_path):
-    path = tmp_path / "wal.jsonl"
+    path = tmp_path / "wal.rbf"
     wal = WriteAheadLog(path)
     assert wal.record_count() == 0
     for record in make_records(5):
         wal.append(record)
     wal.close()
     assert wal.record_count() == 5
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"seq": 6, "op": "ins')  # torn tail is not a record
+    tear(path)  # torn tail is not a record
     assert wal.record_count() == 5
 
 
@@ -262,7 +264,7 @@ def test_crash_after_commit_loses_nothing_before_the_barrier(tmp_path):
     (here: all of them), and a torn suffix must not take committed records
     with it.
     """
-    path = tmp_path / "wal.jsonl"
+    path = tmp_path / "wal.rbf"
     wal = WriteAheadLog(path, commit_batch=3)
     records = make_records(7)
     for record in records[:6]:
