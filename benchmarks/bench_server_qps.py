@@ -92,8 +92,7 @@ def _serve_pipelined(address, queries, depth: int, wire_format: str = "json") ->
         RangeQueryRequest(collection="news", items=query, theta=THETA) for query in queries
     ]
     served = 0
-    with Client(host, port, protocol=2, wire_format=wire_format) as client:
-        assert client.protocol_version == 2, "pipelining needs a v2 server"
+    with Client(host, port, wire_format=wire_format) as client:
         assert client.wire_format == wire_format
         for _ in range(PASSES):
             for start in range(0, len(requests), depth):

@@ -86,8 +86,9 @@ def main() -> None:
 
             # -- admin surface --------------------------------------------------
             stats = client.stats("news")
-            print(f"\n'news' engine totals: {stats['engine']['requests']} requests, "
-                  f"{stats['engine']['cache_hits']} cache hits")
+            requests = stats["engine"]["requests"]
+            print(f"\n'news' engine totals: {requests['total']} requests, "
+                  f"{requests['cache_hits']} cache hits")
 
             # -- a client stops the deployment ---------------------------------
             client.shutdown_server()

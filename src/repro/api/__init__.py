@@ -11,10 +11,11 @@ Layering (each module only depends on the ones above it)::
     responses.py  the Response envelope, error codes, canonical JSON
     surface.py    ExecutorSurface: engine-shaped helpers over execute()
     database.py   Database facade (named static/live collections) + Session
-    protocol.py   length-prefixed JSON frames + the protocol v2 envelope
-    server.py     threaded TCP server sharing one Database (v1 + v2)
-    client.py     blocking client: hello handshake, pipelining, v1 fallback
-    aserver.py    asyncio transport: many connections, no thread each
+    protocol.py   length-prefixed frames (sync + asyncio readers) + the envelope
+    connection.py ServerConnection: one connection's protocol decisions, no I/O
+    server.py     threaded TCP transport around ServerConnection
+    client.py     blocking client: hello handshake, pipelining
+    aserver.py    asyncio transport around the same ServerConnection
     aclient.py    asyncio client: pipelining as plain await concurrency
     remote.py     RemoteShardExecutor: ShardedIndex fan-out to shard servers
 
@@ -22,12 +23,12 @@ The invariant the whole package is built around: for any request, the
 response produced over the wire is **byte-identical** (modulo volatile
 latency stats — see :meth:`~repro.api.responses.Response.result_bytes`) to
 the response produced by an in-process :class:`~repro.api.database.Session`
-on the same database — whichever transport, protocol version, and
+on the same database — whichever transport, frame format, and
 pipelining depth carried it.
 """
 
 from repro.api.aclient import AsyncClient, AsyncSubscription
-from repro.api.aserver import AsyncDatabaseServer, read_frame_async
+from repro.api.aserver import AsyncDatabaseServer
 from repro.api.client import Client, PendingReply, Subscription
 from repro.api.database import CollectionInfo, Database, Session
 from repro.api.protocol import (
@@ -44,6 +45,7 @@ from repro.api.protocol import (
     hello_payload,
     push_envelope,
     read_frame,
+    read_frame_async,
     request_envelope,
     response_envelope,
     write_frame,

@@ -1,9 +1,8 @@
-"""The asyncio client: protocol v2 pipelining as plain ``await`` concurrency.
+"""The asyncio client: pipelining as plain ``await`` concurrency.
 
 :class:`AsyncClient` opens one connection, performs the ``hello``
-handshake (v2 is required — use the sync :class:`~repro.api.client.Client`
-against v1-only servers), and correlates responses to requests by ``id``
-with a background reader task.  Pipelining falls out of the programming
+handshake, and correlates responses to requests by ``id`` with a
+background reader task.  Pipelining falls out of the programming
 model: every ``execute`` is a coroutine, so issuing N requests before
 awaiting any of them puts N requests in flight on the one connection::
 
@@ -28,13 +27,13 @@ import asyncio
 import logging
 from typing import Optional, Sequence
 
-from repro.api.aserver import read_frame_async
 from repro.api.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     PUSH_KIND,
     FrameError,
     encode_frame,
     hello_payload,
+    read_frame_async,
     request_envelope,
 )
 from repro.api.requests import (
@@ -168,7 +167,7 @@ class AsyncSubscription:
 
 
 class AsyncClient:
-    """One protocol v2 connection inside an event loop.
+    """One server connection inside an event loop.
 
     Build instances with :meth:`connect`; the constructor itself only wires
     the streams (the handshake needs ``await``).
@@ -237,10 +236,7 @@ class AsyncClient:
         if reply is None:
             raise ConnectionError("server closed the connection during the handshake")
         if "id" not in reply:
-            raise ConnectionError(
-                "server does not speak protocol v2 (handshake refused);"
-                " use the sync Client for v1 servers"
-            )
+            raise ConnectionError("server does not speak protocol v2 (handshake refused)")
         response = Response.from_dict(reply.get("body") or {})
         if not response.ok or response.data is None:
             raise ConnectionError(f"handshake rejected: {response.error}")

@@ -1,18 +1,18 @@
 """The asyncio wire transport: many connections, no thread per connection.
 
 :class:`AsyncDatabaseServer` serves the same :class:`~repro.api.database.Database`
-dispatch as the threaded :class:`~repro.api.server.DatabaseServer`, over the
-same frames and both protocol versions — answers stay byte-identical to
-in-process calls because the per-frame handling is shared
-(:func:`~repro.api.protocol.classify_frame` plus the reply builders in
-:mod:`repro.api.server`).  What changes is the concurrency model:
+as the threaded :class:`~repro.api.server.DatabaseServer`, over the same
+frames — answers stay byte-identical to in-process calls, and identical
+between the two transports, because every protocol decision is made by the
+one :class:`~repro.api.connection.ServerConnection` both of them feed.
+What changes is the concurrency model:
 
 * **I/O** for every connection is multiplexed on one event loop — ten
   thousand idle connections cost ten thousand coroutines, not ten thousand
   threads;
-* **dispatch** (``session.execute``, which is CPU-bound Python) runs on a
-  small bounded worker pool via ``run_in_executor``, so one slow query
-  never stalls the other connections' reads and writes.
+* **dispatch** (``ServerConnection.receive``, which is CPU-bound Python)
+  runs on a small bounded worker pool via ``run_in_executor``, so one slow
+  query never stalls the other connections' reads and writes.
 
 Requests on one connection are processed in arrival order — pipelining
 removes round-trip waits while keeping mutation streams deterministic (a
@@ -34,43 +34,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from repro.api.database import Database, Session
-from repro.api.protocol import (
-    BINARY_FRAME_FLAG,
-    DEFAULT_MAX_FRAME_BYTES,
-    FRAME_LENGTH_MASK,
-    HEADER,
-    FrameError,
-    FrameTooLargeError,
-    InboundFrame,
-    classify_frame,
-    decode_frame_body,
-    encode_binary_frame,
-    encode_frame,
-    push_envelope,
-)
-from repro.api.requests import SubscribeRequest, UnsubscribeRequest, parse_request
-from repro.api.responses import Response, ResponseError, canonical_json, error_response
-from repro.api.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    SUBSCRIPTION_KINDS,
-    ServerMetrics,
-    envelope_error_payload,
-    execute_frame,
-    hello_reply_payload,
-    is_shutdown_payload,
-    oversized_reply_response,
-    pre_hello_subscribe_response,
-    response_envelope,
-    subscription_target_error,
-    unsubscribe_session,
-)
-from repro.codec import CodecError
-from repro.codec.wire import decode_request as decode_binary_request
-from repro.codec.wire import encode_push as encode_binary_push
-from repro.codec.wire import encode_response as encode_binary_response
-from repro.core.errors import InvalidRequestError
+from repro.api.connection import ServerConnection, ServerMetrics
+from repro.api.database import Database
+from repro.api.protocol import DEFAULT_MAX_FRAME_BYTES, FrameError, read_frame_any_async
+from repro.api.server import DEFAULT_HOST, DEFAULT_PORT
 
 #: How long a push write may sit in the event loop before the sender gives
 #: up and drops the subscription (the connection is considered gone).
@@ -79,57 +46,6 @@ PUSH_WRITE_TIMEOUT_SECONDS = 30.0
 #: Default size of the dispatch worker pool (CPU-bound Python holds the GIL,
 #: so a handful of workers saturates; more just buys queueing fairness).
 DEFAULT_DISPATCH_WORKERS = 8
-
-
-async def read_frame_any_async(
-    reader: asyncio.StreamReader,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    byte_counter=None,
-) -> Optional[tuple[str, object]]:
-    """Async twin of :func:`repro.api.protocol.read_frame_any` (same contract).
-
-    ``byte_counter`` (a metrics counter) receives the exact wire size of
-    each complete frame read, header included.
-    """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None  # clean EOF between frames
-        raise FrameError(
-            f"connection closed mid-frame ({len(error.partial)} of {HEADER.size} bytes read)"
-        ) from None
-    (announced,) = HEADER.unpack(header)
-    binary = bool(announced & BINARY_FRAME_FLAG)
-    length = announced & FRAME_LENGTH_MASK
-    if length > max_frame_bytes:
-        raise FrameTooLargeError(length, max_frame_bytes)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise FrameError(
-            f"connection closed mid-frame ({len(error.partial)} of {length} bytes read)"
-        ) from None
-    if byte_counter is not None:
-        byte_counter.inc(HEADER.size + length)
-    if binary:
-        return "binary", body
-    return "json", decode_frame_body(body)
-
-
-async def read_frame_async(
-    reader: asyncio.StreamReader,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    byte_counter=None,
-) -> Optional[dict]:
-    """Async twin of :func:`repro.api.protocol.read_frame` (JSON frames only)."""
-    result = await read_frame_any_async(reader, max_frame_bytes, byte_counter)
-    if result is None:
-        return None
-    shape, payload = result
-    if shape != "json":
-        raise FrameError("unexpected binary frame on a JSON-only connection")
-    return payload
 
 
 class AsyncDatabaseServer:
@@ -144,7 +60,7 @@ class AsyncDatabaseServer:
     max_frame_bytes:
         Upper bound on one request/response payload.
     dispatch_workers:
-        Size of the worker pool ``session.execute`` runs on.
+        Size of the worker pool ``ServerConnection.receive`` runs on.
 
     Examples
     --------
@@ -245,230 +161,54 @@ class AsyncDatabaseServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        session = self._database.session()
         limit = self.max_frame_bytes
         metrics = self._metrics
         metrics.connections.inc()
         loop = asyncio.get_running_loop()
-        greeted = False
+
+        async def write(data: bytes) -> None:
+            # on the loop writer.write() enqueues each frame's bytes atomically
+            writer.write(data)
+            await writer.drain()
+
+        def send(data: bytes) -> None:
+            # runs on a subscription's sender thread: hop onto the loop
+            future = asyncio.run_coroutine_threadsafe(write(data), loop)
+            future.result(timeout=PUSH_WRITE_TIMEOUT_SECONDS)
+
+        connection = ServerConnection(self._database, limit, metrics, send)
         try:
             while self._stop_event is not None and not self._stop_event.is_set():
                 try:
                     framed = await read_frame_any_async(reader, limit, metrics.bytes_in)
                 except FrameError as error:
-                    if isinstance(error, FrameTooLargeError):
-                        metrics.oversized.inc()
-                    response = Response(
-                        ok=False, error=ResponseError(code="protocol", message=str(error))
-                    )
-                    await self._write(writer, response.to_dict(), limit)
-                    return
-                if framed is None:
-                    return
-                metrics.frames_in.inc()
-                shape, payload = framed
-                if shape == "binary":
-                    if not await self._serve_binary(session, payload, writer, loop):
+                    reply = connection.frame_error(error)
+                else:
+                    if framed is None:
                         return
-                    continue
-                frame = classify_frame(payload)
-                if frame.version == 2 and frame.error is not None:
-                    await self._write(writer, envelope_error_payload(frame), limit)
-                    continue
-                if frame.is_hello:
-                    await self._write(writer, hello_reply_payload(frame, limit), limit)
-                    greeted = True
-                    continue
-                if frame.version == 2 and frame.kind in SUBSCRIPTION_KINDS:
-                    await self._serve_subscription(session, frame, writer, loop, greeted)
-                    continue
-                assert frame.payload is not None
-                # CPU-bound dispatch happens off-loop so other connections'
-                # I/O keeps flowing; per-connection order is preserved by
-                # awaiting before reading the next frame.  execute_frame
-                # installs the request's trace inside the worker thread, so
-                # tracing needs no contextvar propagation across the hop.
-                response = await loop.run_in_executor(
-                    self._pool, execute_frame, session, frame
-                )
-                reply = response.to_dict()
-                if frame.version == 2:
-                    reply = response_envelope(frame.request_id, reply)
-                try:
-                    encoded = encode_frame(reply, limit)
-                except FrameError as error:
-                    metrics.oversized.inc()
-                    oversized = oversized_reply_response(error).to_dict()
-                    if frame.version == 2:
-                        await self._write(
-                            writer, response_envelope(frame.request_id, oversized), limit
-                        )
-                        continue
-                    await self._write(writer, oversized, limit)
-                    return
-                writer.write(encoded)
-                await writer.drain()
-                metrics.frames_out.inc()
-                metrics.bytes_out.inc(len(encoded))
-                if is_shutdown_payload(frame.payload) and response.ok:
+                    # CPU-bound dispatch happens off-loop so other connections'
+                    # I/O keeps flowing; per-connection order is preserved by
+                    # awaiting before reading the next frame.  A request's
+                    # trace is installed inside the worker thread, so tracing
+                    # needs no contextvar propagation across the hop.
+                    reply = await loop.run_in_executor(
+                        self._pool, connection.receive, *framed
+                    )
+                if reply.data:
+                    await write(reply.data)
+                if reply.shutdown:
                     self.stop()
+                if reply.close:
                     return
         except (ConnectionError, OSError):
             pass  # client went away; nothing to clean beyond the finally
         finally:
-            session.cancel_subscriptions()
+            connection.close()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    async def _serve_binary(self, session, body: bytes, writer, loop) -> bool:
-        """Serve one RBF binary request frame (async twin of the threaded path).
-
-        Replies binary when the response is representable and fits, falls
-        back to a JSON v2 envelope otherwise, and closes the connection on
-        an undecodable body after one final ``protocol`` envelope.
-        """
-        limit = self.max_frame_bytes
-        metrics = self._metrics
-        try:
-            request_id, request_payload = decode_binary_request(body)
-        except CodecError as error:
-            response = Response(
-                ok=False, error=ResponseError(code="protocol", message=str(error))
-            )
-            await self._write(writer, response.to_dict(), limit)
-            return False
-        frame = InboundFrame(
-            version=2,
-            request_id=request_id,
-            kind=request_payload.get("type"),
-            payload=request_payload,
-        )
-        response = await loop.run_in_executor(self._pool, execute_frame, session, frame)
-        reply = response.to_dict()
-        encoded = encode_binary_response(request_id, reply)
-        if encoded is not None and len(encoded) <= limit:
-            framed = encode_binary_frame(encoded, limit)
-            writer.write(framed)
-            await writer.drain()
-            metrics.frames_out.inc()
-            metrics.bytes_out.inc(len(framed))
-            return True
-        try:
-            encoded_json = encode_frame(response_envelope(request_id, reply), limit)
-        except FrameError as error:
-            metrics.oversized.inc()
-            oversized = oversized_reply_response(error).to_dict()
-            await self._write(writer, response_envelope(request_id, oversized), limit)
-            return True
-        writer.write(encoded_json)
-        await writer.drain()
-        metrics.frames_out.inc()
-        metrics.bytes_out.inc(len(encoded_json))
-        return True
-
-    # -- standing queries ----------------------------------------------------------
-
-    async def _serve_subscription(
-        self,
-        session: Session,
-        frame: InboundFrame,
-        writer: asyncio.StreamWriter,
-        loop: asyncio.AbstractEventLoop,
-        greeted: bool,
-    ) -> None:
-        """Serve one ``subscribe``/``unsubscribe`` envelope.
-
-        Registration blocks until the dispatcher primes the snapshot, so it
-        runs on the worker pool like any dispatch; the reply (and every
-        later push) is written back on the loop.
-        """
-        limit = self.max_frame_bytes
-        if not greeted:
-            reply = pre_hello_subscribe_response().to_dict()
-            await self._write(writer, response_envelope(frame.request_id, reply), limit)
-            return
-        response = await loop.run_in_executor(
-            self._pool, self._register_or_cancel, session, frame, writer, loop
-        )
-        await self._write(writer, response_envelope(frame.request_id, response.to_dict()), limit)
-
-    def _register_or_cancel(
-        self,
-        session: Session,
-        frame: InboundFrame,
-        writer: asyncio.StreamWriter,
-        loop: asyncio.AbstractEventLoop,
-    ) -> Response:
-        """Worker-pool half of :meth:`_serve_subscription` (sync, may block)."""
-        assert frame.payload is not None
-        try:
-            request = parse_request(frame.payload)
-            if isinstance(request, UnsubscribeRequest):
-                return unsubscribe_session(session, request)
-            assert isinstance(request, SubscribeRequest)
-            return self._register_subscription(session, request, frame.request_id, writer, loop)
-        except Exception as error:
-            return error_response(error)
-
-    def _register_subscription(
-        self,
-        session: Session,
-        request: SubscribeRequest,
-        subscription_id,
-        writer: asyncio.StreamWriter,
-        loop: asyncio.AbstractEventLoop,
-    ) -> Response:
-        if subscription_id in session.subscriptions:
-            raise InvalidRequestError(
-                f"subscription id {subscription_id!r} is already registered"
-                " on this connection"
-            )
-        entry = self._database._lookup(request.collection)
-        if entry.kind != "live":
-            raise subscription_target_error(entry.kind, request.collection)
-        binary = request.format == "binary"
-
-        def deliver(sub_id, body: dict) -> None:
-            # runs on the subscription's sender thread: hop onto the loop,
-            # where writer.write() enqueues each frame's bytes atomically
-            future = asyncio.run_coroutine_threadsafe(
-                self._write_push(writer, sub_id, body, binary), loop
-            )
-            future.result(timeout=PUSH_WRITE_TIMEOUT_SECONDS)
-
-        response, sub = self._database.subscriptions.subscribe(
-            entry.engine, request, subscription_id, deliver, "asyncio"
-        )
-        session.subscriptions[sub.id] = sub
-        return response
-
-    async def _write_push(
-        self, writer: asyncio.StreamWriter, sub_id, body: dict, binary: bool
-    ) -> None:
-        limit = self.max_frame_bytes
-        data = None
-        if binary:
-            encoded = encode_binary_push(sub_id, body)
-            if encoded is not None and len(encoded) <= limit:
-                data = encode_binary_frame(encoded, limit)
-        if data is None:
-            data = encode_frame(push_envelope(sub_id, body), limit)
-        writer.write(data)
-        await writer.drain()
-        self._metrics.frames_out.inc()
-        self._metrics.bytes_out.inc(len(data))
-
-    async def _write(self, writer: asyncio.StreamWriter, payload: dict, limit: int) -> None:
-        body = canonical_json(payload)
-        if len(body) > limit:
-            return  # nothing sensible to send; the caller closes
-        writer.write(HEADER.pack(len(body)) + body)
-        await writer.drain()
-        self._metrics.frames_out.inc()
-        self._metrics.bytes_out.inc(HEADER.size + len(body))
 
     # -- sync bridge (runs a private event loop on a daemon thread) -----------------
 

@@ -11,8 +11,8 @@ a remote client is a one-line change::
         response = client.range_query([3, 1, 4], theta=0.2, collection="news")
         key = client.insert([9, 9, 9], collection="updates")
 
-On connect the client performs the protocol v2 ``hello`` handshake.  A v2
-server confirms it and the connection switches to correlated envelopes: a
+On connect the client performs the ``hello`` handshake; the server
+confirms it and every frame after that is a correlated envelope: a
 background reader thread matches each response to its request by ``id``,
 which unlocks **pipelining** — :meth:`Client.submit` sends a request
 without waiting, returns a :class:`PendingReply`, and any number of
@@ -21,19 +21,14 @@ requests may be in flight at once::
     replies = [client.submit(request) for request in requests]   # N sends
     responses = [reply.result() for reply in replies]            # N receives
 
-A v1 server (PR 4) answers the handshake with an ``invalid_request``
-envelope instead; the client then falls back to v1 framing — one request
-in flight, a lock serialising round trips — unless ``protocol=2`` demanded
-v2.  ``protocol=1`` skips the handshake entirely and behaves exactly like
-the PR 4 client (useful against v1-only servers and in interop tests).
+A peer that answers the handshake without an envelope does not speak this
+protocol; the constructor raises ``ConnectionError``.
 
-Timeouts: under v2 a request that times out fails **only its own id** —
-the reply, when it eventually arrives, is discarded by the reader and
-every other in-flight request completes normally.  Frame-level corruption
-(torn frame, not-JSON, unannounced close) still poisons the whole
-connection, because a byte stream cannot be resynchronised; under v1 a
-timeout also poisons the connection, since without ids a late reply would
-be mistaken for the answer to the *next* request.
+Timeouts: a request that times out fails **only its own id** — the reply,
+when it eventually arrives, is discarded by the reader and every other
+in-flight request completes normally.  Frame-level corruption (torn frame,
+not-JSON, unannounced close) still poisons the whole connection, because a
+byte stream cannot be resynchronised.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from repro.api.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     PUSH_KIND,
     FrameError,
-    PROTOCOL_VERSION,
     encode_binary_frame,
     encode_frame,
     hello_payload,
@@ -249,10 +243,9 @@ class Client(ExecutorSurface):
         Must not exceed the server's limit; larger requests are refused
         locally before touching the wire.
     protocol:
-        ``None`` (default) negotiates: v2 when the server confirms the
-        handshake, v1 fallback otherwise.  ``2`` requires v2 (raises
-        ``ConnectionError`` against a v1 server); ``1`` skips the
-        handshake and forces v1 framing.
+        ``None`` or ``2``; there is one protocol, so the argument selects
+        nothing and stays only for callers that still pass ``2``.  ``1``
+        raises ``ValueError``: protocol v1 was removed.
     wire_format:
         ``"binary"`` opts into RBF binary frame bodies
         (:mod:`repro.codec.wire`) for the hot request shapes, used only
@@ -272,8 +265,13 @@ class Client(ExecutorSurface):
         protocol: Optional[int] = None,
         wire_format: Optional[str] = None,
     ) -> None:
-        if protocol not in (None, 1, 2):
-            raise ValueError(f"protocol must be None, 1 or 2, got {protocol!r}")
+        if protocol == 1:
+            raise ValueError(
+                "protocol=1 was removed: servers speak protocol v2 only and refuse"
+                " bare v1 frames with unsupported_protocol; drop the argument"
+            )
+        if protocol not in (None, 2):
+            raise ValueError(f"protocol must be None or 2, got {protocol!r}")
         if wire_format not in (None, "json", "binary"):
             raise ValueError(
                 f"wire_format must be None, 'json' or 'binary', got {wire_format!r}"
@@ -294,7 +292,6 @@ class Client(ExecutorSurface):
         #: Poisoned-flag writes happen under _state_lock; hot-path reads are
         #: deliberately lock-free and recover via ConnectionError.
         self._closed = False
-        self._version = 1
         self._server_info: Optional[dict] = None
         self._reader: Optional[threading.Thread] = None
         self._socket = socket.create_connection(self._address, timeout=timeout)
@@ -304,8 +301,7 @@ class Client(ExecutorSurface):
         self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._recv = self._socket.makefile("rb")
         self._send = self._socket.makefile("wb")
-        if protocol != 1:
-            self._handshake(require_v2=protocol == 2)
+        self._handshake()
 
     # -- connection state ----------------------------------------------------------
 
@@ -320,13 +316,8 @@ class Client(ExecutorSurface):
         return self._closed
 
     @property
-    def protocol_version(self) -> int:
-        """The protocol the connection settled on (1 or 2)."""
-        return self._version
-
-    @property
     def server_info(self) -> Optional[dict]:
-        """The server's handshake data (versions, frame limit); v2 only."""
+        """The server's handshake data (versions, frame limit)."""
         return self._server_info
 
     @property
@@ -334,8 +325,8 @@ class Client(ExecutorSurface):
         """The negotiated frame-body encoding: ``"binary"`` or ``"json"``."""
         return "binary" if self._binary_wire else "json"
 
-    def _handshake(self, require_v2: bool) -> None:
-        """Open with ``hello``; confirm v2 or fall back to v1 framing."""
+    def _handshake(self) -> None:
+        """Open with ``hello``; start the reader once the server confirms."""
         request_id = self._take_id()
         try:
             with self._send_lock:
@@ -351,21 +342,15 @@ class Client(ExecutorSurface):
             self._teardown(ConnectionError("server closed the connection"))
             raise ConnectionError("server closed the connection during the handshake")
         if "id" not in reply:
-            # a v1 server treats the envelope as a malformed request and
-            # answers with an invalid_request error on a healthy connection
-            if require_v2:
-                self._teardown(ConnectionError("server does not speak protocol v2"))
-                raise ConnectionError(
-                    f"server at {self._address[0]}:{self._address[1]} does not speak"
-                    " protocol v2 (handshake refused); retry with protocol=1"
-                )
-            self._version = 1
-            return
+            self._teardown(ConnectionError("server does not speak protocol v2"))
+            raise ConnectionError(
+                f"server at {self._address[0]}:{self._address[1]} does not speak"
+                " protocol v2 (handshake refused)"
+            )
         response = Response.from_dict(reply.get("body") or {})
         if not response.ok or response.data is None:
             self._teardown(ConnectionError("handshake rejected"))
             raise ConnectionError(f"handshake rejected: {response.error}")
-        self._version = PROTOCOL_VERSION
         self._server_info = response.data
         formats = response.data.get("formats")
         self._binary_wire = self._want_binary and (
@@ -397,7 +382,7 @@ class Client(ExecutorSurface):
         )
         self._reader.start()
 
-    # -- pipelined (v2) path -------------------------------------------------------
+    # -- requests ------------------------------------------------------------------
 
     def _take_id(self) -> int:
         with self._state_lock:
@@ -408,9 +393,8 @@ class Client(ExecutorSurface):
     def submit(self, request: RequestLike, *, trace=None) -> PendingReply:
         """Send one request without waiting; correlate via the returned reply.
 
-        Requires protocol v2 (ids are what make pipelining safe).  Typed
-        requests are validated locally first, so a malformed request costs
-        no round trip.  ``trace=True`` asks the server to trace the request
+        Typed requests are validated locally first, so a malformed request
+        costs no round trip.  ``trace=True`` asks the server to trace the request
         (a string propagates an existing trace id); the response then
         carries its span tree as :attr:`Response.trace`.
         """
@@ -418,10 +402,6 @@ class Client(ExecutorSurface):
 
     def _post(self, requests: list, trace=None) -> list[PendingReply]:
         """Encode, register, and send a burst of requests with one flush."""
-        if self._version != PROTOCOL_VERSION:
-            raise ConnectionError(
-                "pipelining requires protocol v2; this connection fell back to v1"
-            )
         # validate and encode everything *before* registering any id, so a
         # malformed or oversized request in the middle of a burst cannot
         # strand earlier requests as never-sent pending entries
@@ -570,7 +550,7 @@ class Client(ExecutorSurface):
         for subscription in subscriptions:
             subscription._fail(error)
 
-    # -- standing queries (v2 only) ------------------------------------------------
+    # -- standing queries ----------------------------------------------------------
 
     def subscribe(
         self,
@@ -589,13 +569,8 @@ class Client(ExecutorSurface):
         Blocks until the server replies with the query's current result
         set (the snapshot); deltas then arrive on the handle as mutations
         commit.  Binary delta bodies are requested automatically when the
-        connection negotiated the binary wire.  Requires protocol v2 — a
-        v1 connection cannot interleave pushes with replies.
+        connection negotiated the binary wire.
         """
-        if self._version != PROTOCOL_VERSION:
-            raise ConnectionError(
-                "subscriptions require protocol v2; this connection fell back to v1"
-            )
         request = self.subscribe_request(
             items,
             collection=collection,
@@ -660,43 +635,14 @@ class Client(ExecutorSurface):
         subscription._finish()
         response.raise_for_error()
 
-    # -- the one-round-trip path (both protocols) ----------------------------------
-
     def execute(self, request: RequestLike, *, trace=None) -> Response:
         """Send one request and return its response envelope.
 
-        Under v2 this is ``submit(...)`` + ``result()``: concurrent calls
-        from many threads interleave on the one connection and a timeout
-        fails only this request.  Under v1 a lock serialises the round
-        trip and any transport failure (including a timeout) closes the
-        connection — without ids, a late reply would desynchronise it.
-        A ``trace`` opt-in rides the v2 envelope; on a v1 connection it is
-        silently dropped (v1 has no field to carry it).
+        This is ``submit(...)`` + ``result()``: concurrent calls from many
+        threads interleave on the one connection and a timeout fails only
+        this request.
         """
-        if self._version == PROTOCOL_VERSION:
-            return self.submit(request, trace=trace).result()
-        payload = parse_request(request).to_dict() if not isinstance(request, dict) else request
-        # local validation (including the size cap) before touching the wire
-        frame = encode_frame(payload, self._max_frame_bytes)
-        with self._send_lock:
-            if self._closed:
-                raise ConnectionError("client is closed")
-            try:
-                self._send.write(frame)
-                self._send.flush()
-                reply = read_frame(self._recv, self._max_frame_bytes)
-            except FrameError as error:
-                self._teardown(ConnectionError(f"invalid response frame: {error}"))
-                raise ConnectionError(f"invalid response frame: {error}") from None
-            except (OSError, ValueError) as error:
-                # OSError covers socket.timeout; ValueError is a concurrent
-                # close() having shut the buffered streams mid-round-trip
-                self._teardown(ConnectionError(f"connection failed: {error}"))
-                raise ConnectionError(f"connection failed: {error}") from None
-            if reply is None:
-                self._teardown(ConnectionError("server closed the connection"))
-                raise ConnectionError("server closed the connection")
-        return Response.from_dict(reply)
+        return self.submit(request, trace=trace).result()
 
     def shutdown_server(self) -> Response:
         """Ask the server to stop after acknowledging (admin/shutdown)."""
@@ -714,5 +660,5 @@ class Client(ExecutorSurface):
 
     def __repr__(self) -> str:
         host, port = self._address
-        state = "closed" if self.closed else f"open, v{self._version}"
+        state = "closed" if self.closed else "open"
         return f"Client({host}:{port}, {state})"

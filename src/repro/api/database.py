@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from repro.core.errors import (
     CollectionClosedError,
@@ -62,7 +62,7 @@ from repro.api.requests import (
 from repro.api.responses import MatchPayload, Response, error_response
 from repro.api.surface import ExecutorSurface
 from repro.devtools.locktrace import make_lock
-from repro.sub.manager import ServerSubscription, SubscriptionManager
+from repro.sub.manager import SubscriptionManager
 
 #: Engines a collection may be served by.
 Engine = Union[QueryEngine, LiveQueryEngine]
@@ -325,24 +325,14 @@ class Database:
 class Session(ExecutorSurface):
     """The ``execute(request) -> Response`` dispatch over one database.
 
-    Sessions are thread-compatible: the server hands one to every client
-    connection, all sharing the same :class:`Database`.  The only
-    per-session state is :attr:`subscriptions` — the standing queries a
-    protocol server registered for its connection, so disconnect can tear
-    down exactly that connection's pushes.
+    Sessions are stateless and thread-compatible: every server connection
+    gets one, all sharing the same :class:`Database`.  (Standing queries
+    are connection state and live in
+    :class:`~repro.api.connection.ServerConnection`.)
     """
 
     def __init__(self, database: Database) -> None:
         self._database = database
-        #: Standing queries keyed by subscription id; maintained by the
-        #: protocol servers (in-process sessions cannot carry pushes).
-        self.subscriptions: dict[Any, ServerSubscription] = {}
-
-    def cancel_subscriptions(self) -> None:
-        """Tear down every standing query this session registered."""
-        subs = list(self.subscriptions.values())
-        self.subscriptions.clear()
-        self._database.subscriptions.cancel_all(subs)
 
     @property
     def database(self) -> Database:
@@ -395,11 +385,11 @@ class Session(ExecutorSurface):
 
     def _dispatch(self, request: Request) -> Response:
         if isinstance(request, (SubscribeRequest, UnsubscribeRequest)):
-            # the protocol servers intercept these on v2 connections before
-            # dispatch; reaching here means the transport cannot push
+            # a server connection intercepts these before dispatch; reaching
+            # here means there is no connection to push on
             raise UnsupportedProtocolError(
-                "subscriptions need a protocol v2 server connection; "
-                "in-process sessions and v1 connections cannot carry push frames"
+                "subscriptions need a server connection; "
+                "an in-process session cannot carry push frames"
             )
         if isinstance(request, AdminRequest):
             return self._dispatch_admin(request)

@@ -1,4 +1,4 @@
-"""Length-prefixed JSON framing and the protocol v2 envelope.
+"""Length-prefixed framing and the request/response envelope (protocol v2).
 
 One frame is a 4-byte big-endian unsigned length followed by that many
 bytes of UTF-8 JSON (the canonical encoding from
@@ -23,42 +23,38 @@ advertises ``formats`` and a client only sends binary frames after seeing
 interleave freely on one connection (a shape the binary envelope cannot
 express simply falls back to JSON).
 
-Two payload shapes travel inside frames:
+Every JSON frame carries one envelope: a client-assigned correlation id
+and the request kind, with the request fields nested under ``body``::
 
-* **v1** (PR 4): the bare request payload, ``{"type": "range", ...}``,
-  answered by the bare response envelope ``{"ok": true, ...}``.  One
-  request is in flight per connection; replies arrive in send order.
-* **v2**: a uniform envelope carrying a client-assigned correlation id and
-  the request kind, with the request fields nested under ``body``::
+    request   {"id": 7, "kind": "range", "body": {"collection": ..., ...}}
+    response  {"id": 7, "body": {"ok": true, ...}}
 
-      request   {"id": 7, "kind": "range", "body": {"collection": ..., ...}}
-      response  {"id": 7, "body": {"ok": true, ...}}
+A request envelope may additionally carry an optional ``trace`` field —
+``true`` to request tracing with a server-generated trace id, or a
+non-empty string to propagate an existing id (what the remote shard
+executor sends so shard-server spans correlate with the coordinator's).
+Traced responses carry the span tree as a ``trace`` block *inside* the
+response payload (see :mod:`repro.obs.tracing`).
 
-  A request envelope may additionally carry an optional ``trace`` field —
-  ``true`` to request tracing with a server-generated trace id, or a
-  non-empty string to propagate an existing id (what the remote shard
-  executor sends so shard-server spans correlate with the coordinator's).
-  Traced responses carry the span tree as a ``trace`` block *inside* the
-  response payload (see :mod:`repro.obs.tracing`); ``trace`` exists only
-  on the v2 envelope, so a client that fell back to v1 framing silently
-  drops the option rather than sending a field v1 validation would
-  reject.
+Because every response echoes its request's ``id``, any number of
+requests may be in flight on one connection (pipelining) and servers may
+answer them as they complete (multiplexing).  A connection opens with a
+``hello`` handshake (:func:`hello_payload`), which the server answers
+with its protocol version, frame limit and frame-body formats.
 
-  Because every response echoes its request's ``id``, any number of
-  requests may be in flight on one connection (pipelining) and servers may
-  answer them as they complete (multiplexing).  A connection opens with a
-  ``hello`` handshake (:func:`hello_payload`), which the server answers
-  with its supported versions and frame limit; a v1 server answers it with
-  an ``invalid_request`` error envelope instead, which is how a v2 client
-  detects it must fall back to v1 framing.  Servers treat the two shapes
-  per frame — a v1 client needs no handshake at all.
+This is the only protocol served.  Protocol v1 — the bare request payload
+``{"type": "range", ...}`` with no envelope — was removed: such a frame
+is answered with one bare ``unsupported_protocol`` error envelope naming
+v2, on a connection that stays usable.
 
-:func:`classify_frame` is the single decision point both servers (threaded
-and asyncio) use to tell the shapes apart and validate the envelope.
+:func:`classify_frame` is the single decision point that validates the
+envelope; :class:`repro.api.connection.ServerConnection` acts on it for
+both transports.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import struct
 from dataclasses import dataclass
@@ -86,7 +82,7 @@ DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
 PROTOCOL_VERSION = 2
 
 #: Every protocol version this build can serve.
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (2,)
 
 #: Envelope ``kind`` of the version handshake (not a request type).
 HELLO_KIND = "hello"
@@ -158,15 +154,25 @@ def decode_frame_body(body: bytes) -> dict:
     return payload
 
 
-def read_frame(
-    stream: BinaryIO, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Optional[dict]:
-    """Read one JSON frame's payload; ``None`` on clean EOF between frames.
+def parse_frame_header(header: bytes, max_frame_bytes: int) -> tuple[bool, int]:
+    """Split a frame header into ``(binary, body length)``; refuse oversized frames."""
+    (announced,) = HEADER.unpack(header)
+    length = announced & FRAME_LENGTH_MASK
+    if length > max_frame_bytes:
+        raise FrameTooLargeError(length, max_frame_bytes)
+    return bool(announced & BINARY_FRAME_FLAG), length
 
-    Raises :class:`FrameError` on a binary frame — callers that negotiate
-    binary framing use :func:`read_frame_any` instead.
-    """
-    result = read_frame_any(stream, max_frame_bytes)
+
+def _whole_frame(binary: bool, body: bytes, byte_counter) -> tuple[str, Any]:
+    """One completely read frame as ``(shape, payload)``, its wire size counted."""
+    if byte_counter is not None:
+        byte_counter.inc(HEADER.size + len(body))
+    if binary:
+        return "binary", body
+    return "json", decode_frame_body(body)
+
+
+def _json_only(result: Optional[tuple[str, Any]]) -> Optional[dict]:
     if result is None:
         return None
     shape, payload = result
@@ -175,30 +181,67 @@ def read_frame(
     return payload
 
 
-def read_frame_any(
+def read_frame(
     stream: BinaryIO, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
+) -> Optional[dict]:
+    """Read one JSON frame's payload; ``None`` on clean EOF between frames.
+
+    Raises :class:`FrameError` on a binary frame — callers that negotiate
+    binary framing use :func:`read_frame_any` instead.
+    """
+    return _json_only(read_frame_any(stream, max_frame_bytes))
+
+
+def read_frame_any(
+    stream: BinaryIO, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES, byte_counter=None
 ) -> Optional[tuple[str, Any]]:
     """Read one frame of either encoding; ``None`` on clean EOF between frames.
 
     Returns ``("json", payload_dict)`` for a JSON frame or
     ``("binary", body_bytes)`` for a binary one — decoding the binary
     envelope is the caller's job (:mod:`repro.codec.wire`), keeping the
-    framing layer below the codec.
+    framing layer below the codec.  ``byte_counter`` (a metrics counter)
+    receives the wire size of each whole frame read, header included.
     """
     header = _read_exact(stream, HEADER.size)
     if header is None:
         return None
-    (announced,) = HEADER.unpack(header)
-    binary = bool(announced & BINARY_FRAME_FLAG)
-    length = announced & FRAME_LENGTH_MASK
-    if length > max_frame_bytes:
-        raise FrameTooLargeError(length, max_frame_bytes)
+    binary, length = parse_frame_header(header, max_frame_bytes)
     body = _read_exact(stream, length)
     if body is None:
         raise FrameError("connection closed between frame header and payload")
-    if binary:
-        return "binary", body
-    return "json", decode_frame_body(body)
+    return _whole_frame(binary, body, byte_counter)
+
+
+async def read_frame_any_async(
+    reader: asyncio.StreamReader,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    byte_counter=None,
+) -> Optional[tuple[str, Any]]:
+    """:func:`read_frame_any` over an asyncio stream (same contract)."""
+    try:
+        header = await reader.readexactly(HEADER.size)
+    except asyncio.IncompleteReadError as error:
+        if not error.partial:
+            return None  # clean EOF between frames
+        raise FrameError(
+            f"connection closed mid-frame ({len(error.partial)} of {HEADER.size} bytes read)"
+        ) from None
+    binary, length = parse_frame_header(header, max_frame_bytes)
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as error:
+        raise FrameError(
+            f"connection closed mid-frame ({len(error.partial)} of {length} bytes read)"
+        ) from None
+    return _whole_frame(binary, body, byte_counter)
+
+
+async def read_frame_async(
+    reader: asyncio.StreamReader, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
+) -> Optional[dict]:
+    """:func:`read_frame` over an asyncio stream (JSON frames only)."""
+    return _json_only(await read_frame_any_async(reader, max_frame_bytes))
 
 
 def encode_binary_frame(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
@@ -208,30 +251,39 @@ def encode_binary_frame(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BY
     return HEADER.pack(len(body) | BINARY_FRAME_FLAG) + body
 
 
-# -- protocol v2 envelopes -----------------------------------------------------------
+# -- envelopes -----------------------------------------------------------------------
+
+#: What a bare (protocol v1) frame is told; the refusal is typed
+#: ``unsupported_protocol`` and leaves the connection usable.
+BARE_FRAME_REFUSAL = (
+    "protocol v1 (a bare request payload without an envelope) is no longer"
+    f" served; this server speaks protocol v{PROTOCOL_VERSION} only: open with a hello"
+    ' handshake and wrap each request as {"id": ..., "kind": ..., "body": {...}}'
+)
 
 
 @dataclass(frozen=True)
 class InboundFrame:
-    """One classified inbound frame: which protocol shape it is and what it asks.
+    """One classified inbound frame: what it asks, or why it cannot be served.
 
-    ``version`` is 1 or 2.  For v2 frames ``request_id`` carries the
-    client's correlation id and ``kind`` the envelope kind; ``payload`` is
-    the dispatchable v1-style request payload (``{"type": kind, **body}``),
-    or ``None`` for a ``hello`` handshake.  ``trace`` is ``None`` for an
-    untraced request, ``True`` when the client asked the server to
-    generate a trace id, or the propagated trace id string.  ``error`` is
-    set (and ``payload`` is ``None``) when the envelope itself is
-    malformed — the stream is still synchronised, so servers answer it on
-    a healthy connection instead of closing.
+    ``request_id`` carries the client's correlation id and ``kind`` the
+    envelope kind; ``payload`` is the dispatchable request payload
+    (``{"type": kind, **body}``), or ``None`` for a ``hello`` handshake.
+    ``trace`` is ``None`` for an untraced request, ``True`` when the client
+    asked the server to generate a trace id, or the propagated trace id
+    string.  ``error`` is set (and ``payload`` is ``None``) when the frame
+    cannot be served — the stream is still synchronised, so servers answer
+    it on a healthy connection instead of closing: a malformed envelope
+    with ``invalid_request``, a ``bare`` frame (no envelope at all, the
+    removed protocol v1) with ``unsupported_protocol``.
     """
 
-    version: int
     request_id: Any = None
     kind: Optional[str] = None
     payload: Optional[dict] = None
     error: Optional[str] = None
     trace: Any = None
+    bare: bool = False
 
     @property
     def traced(self) -> bool:
@@ -240,42 +292,40 @@ class InboundFrame:
 
     @property
     def is_hello(self) -> bool:
-        return self.version == 2 and self.kind == HELLO_KIND and self.error is None
+        return self.kind == HELLO_KIND and self.error is None
 
 
 def valid_request_id(request_id: Any) -> bool:
-    """Whether a value may serve as a v2 correlation id (int or string)."""
+    """Whether a value may serve as a correlation id (int or string)."""
     if isinstance(request_id, bool):
         return False
     return isinstance(request_id, (int, str))
 
 
 def classify_frame(payload: dict) -> InboundFrame:
-    """Tell a v1 request payload from a v2 envelope and validate the latter.
+    """Validate one JSON frame as a request envelope.
 
-    A frame is a v2 envelope exactly when it carries a ``kind`` field (v1
-    request payloads carry ``type`` instead, and strict request validation
-    has always rejected stray fields, so the shapes cannot collide).
+    A frame with none of ``id`` / ``kind`` / ``body`` is not an envelope
+    at all (request payloads carry ``type`` instead, and strict request
+    validation has always rejected stray fields, so the shapes cannot
+    collide): it comes back ``bare`` with :data:`BARE_FRAME_REFUSAL`.
     """
     if "kind" not in payload and "id" not in payload and "body" not in payload:
-        return InboundFrame(version=1, payload=payload)
+        return InboundFrame(error=BARE_FRAME_REFUSAL, bare=True)
     request_id = payload.get("id")
     if not valid_request_id(request_id):
         return InboundFrame(
-            version=2,
             error=f"envelope 'id' must be an integer or string, got {request_id!r}",
         )
     kind = payload.get("kind")
     if not isinstance(kind, str) or not kind:
         return InboundFrame(
-            version=2,
             request_id=request_id,
             error=f"envelope 'kind' must be a non-empty string, got {kind!r}",
         )
     unknown = set(payload) - {"id", "kind", "body", "trace"}
     if unknown:
         return InboundFrame(
-            version=2,
             request_id=request_id,
             kind=kind,
             error=f"unknown envelope field(s): {', '.join(sorted(unknown))}",
@@ -287,7 +337,6 @@ def classify_frame(payload: dict) -> InboundFrame:
         isinstance(trace, str) and 0 < len(trace) <= MAX_TRACE_ID_BYTES
     ):
         return InboundFrame(
-            version=2,
             request_id=request_id,
             kind=kind,
             error=(
@@ -298,27 +347,25 @@ def classify_frame(payload: dict) -> InboundFrame:
     body = payload.get("body", {})
     if not isinstance(body, dict):
         return InboundFrame(
-            version=2,
             request_id=request_id,
             kind=kind,
             error=f"envelope 'body' must be an object, got {type(body).__name__}",
         )
     if kind == HELLO_KIND:
-        return InboundFrame(version=2, request_id=request_id, kind=kind)
+        return InboundFrame(request_id=request_id, kind=kind)
     if "type" in body:
         return InboundFrame(
-            version=2,
             request_id=request_id,
             kind=kind,
             error="envelope 'body' must not carry 'type'; the kind names the request",
         )
     return InboundFrame(
-        version=2, request_id=request_id, kind=kind, payload={"type": kind, **body}, trace=trace
+        request_id=request_id, kind=kind, payload={"type": kind, **body}, trace=trace
     )
 
 
 def request_envelope(request_id: Any, payload: dict, trace: Any = None) -> dict:
-    """Wrap a v1-style request payload (``{"type": ...}``) in a v2 envelope.
+    """Wrap a request payload (``{"type": ...}``) in its envelope.
 
     ``trace`` opts the request into tracing: ``True`` asks the server to
     generate a trace id, a non-empty string propagates an existing one.
@@ -336,12 +383,12 @@ def request_envelope(request_id: Any, payload: dict, trace: Any = None) -> dict:
 
 
 def response_envelope(request_id: Any, payload: dict) -> dict:
-    """Wrap a response payload in the v2 envelope echoing ``request_id``."""
+    """Wrap a response payload in the envelope echoing ``request_id``."""
     return {"id": request_id, "body": payload}
 
 
 def push_envelope(subscription_id: Any, payload: dict) -> dict:
-    """Wrap one standing-query push in the v2 envelope for ``subscription_id``.
+    """Wrap one standing-query push in the envelope for ``subscription_id``.
 
     The id is the *subscribe* request's correlation id: one subscription,
     many correlated frames.  Clients route on ``kind == PUSH_KIND`` before
@@ -355,12 +402,12 @@ def push_envelope(subscription_id: Any, payload: dict) -> dict:
 
 
 def hello_payload(request_id: Any, version: int = PROTOCOL_VERSION) -> dict:
-    """The handshake frame a v2 client opens its connection with."""
+    """The handshake frame a client opens its connection with."""
     return {"id": request_id, "kind": HELLO_KIND, "body": {"version": version}}
 
 
 def hello_data(max_frame_bytes: int) -> dict:
-    """The ``data`` payload a v2 server answers the handshake with."""
+    """The ``data`` payload a server answers the handshake with."""
     return {
         "server": "repro-topk",
         "version": PROTOCOL_VERSION,

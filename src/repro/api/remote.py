@@ -274,7 +274,6 @@ class RemoteShardExecutor:
                     port,
                     timeout=self._timeout,
                     max_frame_bytes=self._max_frame_bytes,
-                    protocol=2,  # correlation ids are what make the fan-out concurrent
                     wire_format=self._wire_format,
                 )
             except (ConnectionError, OSError):

@@ -511,8 +511,8 @@ class AdminRequest(Request):
     def to_dict(self) -> dict:
         """The wire payload; DDL-only fields are omitted unless set.
 
-        Keeping plain admin payloads free of ``null`` DDL fields preserves
-        their PR 4 wire shape byte for byte, so v1 servers accept them.
+        Plain admin payloads stay free of ``null`` DDL fields, so a
+        ``ping`` is three keys on the wire.
         """
         payload: dict = {"type": self.TYPE, "collection": self.collection, "action": self.action}
         for name in (

@@ -1,23 +1,19 @@
 """A threaded TCP server exposing one :class:`Database` to remote clients.
 
-:class:`DatabaseServer` is the stdlib-only wire layer over
-:class:`~repro.api.database.Session`: every client connection gets its own
-handler thread and its own session, all sharing the one database, and each
-request frame (see :mod:`repro.api.protocol`) is answered with exactly one
-response frame.  Because the session dispatch is byte-for-byte the same
-code the in-process facade runs, a remote answer's
+:class:`DatabaseServer` is the stdlib-only threaded transport: every client
+connection gets its own handler thread, all sharing the one database.  The
+handler only moves bytes — it reads one frame, hands it to the
+connection's :class:`~repro.api.connection.ServerConnection` (which owns
+every protocol decision, shared with the asyncio transport in
+:mod:`repro.api.aserver`), writes the reply it gets back, and honours the
+close/shutdown flags.  Because the session dispatch behind it is
+byte-for-byte the same code the in-process facade runs, a remote answer's
 :meth:`~repro.api.responses.Response.result_bytes` equal the in-process
 answer's — the server adds transport, never semantics.
 
-The server speaks both protocol versions, decided per frame by
-:func:`~repro.api.protocol.classify_frame`: bare v1 request payloads are
-answered with bare response envelopes exactly as in PR 4, and v2 envelopes
-(``id`` + ``kind`` + ``body``, opened by a ``hello`` handshake) are
-answered with envelopes echoing the ``id`` — which is what lets a v2
-client pipeline many requests over one connection.  Requests on one
-connection are processed in arrival order (pipelining removes round-trip
-waits, not ordering); the asyncio transport in :mod:`repro.api.aserver`
-serves many *connections* without a thread each.
+Requests on one connection are processed in arrival order (pipelining
+removes round-trip waits, not ordering); the asyncio transport serves many
+*connections* without a thread each.
 
 Error discipline: malformed requests come back as typed error envelopes on
 a healthy connection; *frame-level* violations (torn frame, oversized
@@ -32,34 +28,11 @@ from __future__ import annotations
 
 import socketserver
 import threading
-from dataclasses import replace
 from typing import Optional
 
-from repro.api.database import Database, Session
-from repro.api.protocol import (
-    DEFAULT_MAX_FRAME_BYTES,
-    FrameError,
-    FrameTooLargeError,
-    InboundFrame,
-    classify_frame,
-    encode_binary_frame,
-    encode_frame,
-    hello_data,
-    push_envelope,
-    read_frame_any,
-    response_envelope,
-    write_frame,
-)
-from repro.api.requests import SubscribeRequest, UnsubscribeRequest, parse_request
-from repro.api.responses import Response, ResponseError, error_response
-from repro.codec import CodecError
-from repro.codec.wire import decode_request as decode_binary_request
-from repro.codec.wire import encode_push as encode_binary_push
-from repro.codec.wire import encode_response as encode_binary_response
-from repro.core.errors import InvalidRequestError, UnsupportedProtocolError
-from repro.obs import names as metric_names
-from repro.obs.metrics import get_registry
-from repro.obs.tracing import Trace, use_trace
+from repro.api.connection import ServerConnection, ServerMetrics
+from repro.api.database import Database
+from repro.api.protocol import DEFAULT_MAX_FRAME_BYTES, FrameError, read_frame_any
 
 #: Host the server binds by default (loopback: serving is opt-in).
 DEFAULT_HOST = "127.0.0.1"
@@ -68,173 +41,8 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
 
 
-def envelope_error_payload(frame: InboundFrame) -> dict:
-    """The reply to a malformed v2 envelope (the stream itself is healthy)."""
-    response = Response(
-        ok=False, error=ResponseError(code="invalid_request", message=frame.error or "")
-    )
-    return response_envelope(frame.request_id, response.to_dict())
-
-
-def hello_reply_payload(frame: InboundFrame, max_frame_bytes: int) -> dict:
-    """The reply to a v2 ``hello`` handshake."""
-    response = Response(ok=True, data=hello_data(max_frame_bytes))
-    return response_envelope(frame.request_id, response.to_dict())
-
-
-def oversized_reply_response(error: FrameError) -> Response:
-    """The (small) error envelope sent when an answer exceeds the frame limit."""
-    return Response(
-        ok=False,
-        error=ResponseError(
-            code="protocol",
-            message=(
-                f"response exceeds frame limit: {error}; retry with a"
-                " smaller request (range queries support limit/cursor"
-                " pagination; batches can be split into single queries)"
-            ),
-        ),
-    )
-
-
-#: v2 envelope kinds the servers intercept before session dispatch: they
-#: change connection state (register/cancel pushes), which a bare
-#: ``execute`` cannot express.
-SUBSCRIPTION_KINDS = frozenset({"subscribe", "unsubscribe"})
-
-
-def pre_hello_subscribe_response() -> Response:
-    """The typed refusal for ``subscribe`` before the v2 ``hello`` handshake."""
-    return error_response(
-        UnsupportedProtocolError(
-            "subscribe requires a protocol v2 connection opened with a hello"
-            " handshake; send hello first"
-        )
-    )
-
-
-def subscription_target_error(kind: str, collection: str) -> InvalidRequestError:
-    """The refusal for subscribing to a collection that cannot change."""
-    return InvalidRequestError(
-        f"collection {collection!r} is {kind} (read-only); standing queries"
-        " need a live collection"
-    )
-
-
-def unsubscribe_session(session: Session, request: UnsubscribeRequest) -> Response:
-    """Cancel one of this connection's standing queries (both transports).
-
-    Subscriptions are per-connection, so an id this session never
-    registered (or already cancelled) is an invalid request, not a no-op.
-    """
-    sub = session.subscriptions.pop(request.subscription, None)
-    if sub is None:
-        raise InvalidRequestError(
-            f"no subscription {request.subscription!r} on this connection"
-        )
-    session.database.subscriptions.unsubscribe(sub)
-    return Response(ok=True, data={"unsubscribed": request.subscription})
-
-
-def is_shutdown_payload(payload: Optional[dict]) -> bool:
-    """Whether a dispatchable request payload asks the server to stop."""
-    return (
-        payload is not None
-        and payload.get("type") == "admin"
-        and payload.get("action") == "shutdown"
-    )
-
-
-class ServerMetrics:
-    """Per-transport wire counters, shared by both server implementations.
-
-    One instance per server; ``transport`` labels the samples so the two
-    transports (``threaded``, ``asyncio``) stay distinguishable when both
-    run in one process (the CLI never does, tests do).
-    """
-
-    def __init__(self, transport: str) -> None:
-        registry = get_registry()
-        self.connections = registry.counter(
-            metric_names.SERVER_CONNECTIONS_TOTAL,
-            "Client connections accepted.",
-            transport=transport,
-        )
-        self.frames_in = registry.counter(
-            metric_names.SERVER_FRAMES_TOTAL,
-            "Wire frames processed.",
-            transport=transport,
-            direction="in",
-        )
-        self.frames_out = registry.counter(
-            metric_names.SERVER_FRAMES_TOTAL,
-            "Wire frames processed.",
-            transport=transport,
-            direction="out",
-        )
-        self.bytes_in = registry.counter(
-            metric_names.SERVER_BYTES_TOTAL,
-            "Wire bytes moved, frame headers included.",
-            transport=transport,
-            direction="in",
-        )
-        self.bytes_out = registry.counter(
-            metric_names.SERVER_BYTES_TOTAL,
-            "Wire bytes moved, frame headers included.",
-            transport=transport,
-            direction="out",
-        )
-        self.oversized = registry.counter(
-            metric_names.SERVER_OVERSIZED_TOTAL,
-            "Frames refused for exceeding the frame limit.",
-            transport=transport,
-        )
-
-
-class _CountingStream:
-    """File-object proxy totalling the bytes moved into a counter."""
-
-    def __init__(self, stream, counter) -> None:
-        self._stream = stream
-        self._counter = counter
-
-    def read(self, size: int = -1):
-        data = self._stream.read(size)
-        if data:
-            self._counter.inc(len(data))
-        return data
-
-    def write(self, data) -> int:
-        written = self._stream.write(data)
-        self._counter.inc(len(data))
-        return written
-
-    def flush(self) -> None:
-        self._stream.flush()
-
-
-def execute_frame(session: Session, frame: InboundFrame) -> Response:
-    """Dispatch one classified request frame, honouring its trace opt-in.
-
-    Untraced frames (every v1 frame, and v2 envelopes without ``trace``)
-    go straight to the session.  Traced frames get a :class:`Trace` —
-    carrying the propagated id when the client sent one — installed for
-    the dispatch, a root ``request:<kind>`` span, and the span tree
-    attached to the response.  Both servers call this, so tracing works
-    identically on either transport.
-    """
-    assert frame.payload is not None
-    if not frame.traced:
-        return session.execute(frame.payload)
-    trace = Trace(frame.trace if isinstance(frame.trace, str) else None)
-    with use_trace(trace):
-        with trace.span(f"request:{frame.payload.get('type', frame.kind)}"):
-            response = session.execute(frame.payload)
-    return replace(response, trace=trace.to_dict())
-
-
 class _Handler(socketserver.StreamRequestHandler):
-    """One client connection: a frame loop over a dedicated session."""
+    """One client connection: a frame loop around a :class:`ServerConnection`."""
 
     server: "_TCPServer"
 
@@ -245,206 +53,39 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        session = self.server.database.session()
+        server = self.server
+        limit = server.max_frame_bytes
+        server.metrics.connections.inc()
         # pushes are written by per-subscription sender threads while this
         # thread writes replies: the lock keeps frames whole on the stream
-        self._send_lock = threading.Lock()
-        self._greeted = False
-        metrics = self.server.metrics
-        metrics.connections.inc()
-        self._counted_rfile = _CountingStream(self.rfile, metrics.bytes_in)
-        self._counted_wfile = _CountingStream(self.wfile, metrics.bytes_out)
-        try:
-            self._serve(session)
-        finally:
-            session.cancel_subscriptions()
+        send_lock = threading.Lock()
 
-    def _serve(self, session: Session) -> None:
-        limit = self.server.max_frame_bytes
-        metrics = self.server.metrics
-        while not self.server.stopping:
-            try:
-                framed = read_frame_any(self._counted_rfile, limit)
-            except FrameError as error:
-                if isinstance(error, FrameTooLargeError):
-                    metrics.oversized.inc()
-                self._try_reply(
-                    Response(
-                        ok=False, error=ResponseError(code="protocol", message=str(error))
-                    ).to_dict()
-                )
-                return
-            except OSError:  # client aborted (RST, timeout): a clean close, not a crash
-                return
-            if framed is None:  # client hung up cleanly
-                return
-            metrics.frames_in.inc()
-            shape, payload = framed
-            if shape == "binary":
-                if not self._handle_binary(session, payload):
-                    return
-                continue
-            frame = classify_frame(payload)
-            if frame.version == 2 and frame.error is not None:
-                if not self._try_reply(envelope_error_payload(frame)):
-                    return
-                continue
-            if frame.is_hello:
-                if not self._try_reply(hello_reply_payload(frame, limit)):
-                    return
-                self._greeted = True
-                continue
-            if frame.version == 2 and frame.kind in SUBSCRIPTION_KINDS:
-                if not self._handle_subscription(session, frame):
-                    return
-                continue
-            assert frame.payload is not None
-            response = execute_frame(session, frame)
-            reply = response.to_dict()
-            if frame.version == 2:
-                reply = response_envelope(frame.request_id, reply)
-            try:
-                with self._send_lock:
-                    write_frame(self._counted_wfile, reply, limit)
-                metrics.frames_out.inc()
-            except FrameError as error:
-                metrics.oversized.inc()
-                # the answer itself is too large for one frame: tell the
-                # client (the error envelope is small) instead of vanishing.
-                # With a v2 correlation id only that request fails and the
-                # connection lives on; without one, close — a v1 client
-                # cannot tell which request the error belongs to.
-                oversized = oversized_reply_response(error).to_dict()
-                if frame.version == 2:
-                    if not self._try_reply(response_envelope(frame.request_id, oversized)):
+        def send(data: bytes) -> None:
+            with send_lock:
+                self.wfile.write(data)
+                self.wfile.flush()
+
+        connection = ServerConnection(server.database, limit, server.metrics, send)
+        try:
+            while not server.stopping:
+                try:
+                    framed = read_frame_any(self.rfile, limit, server.metrics.bytes_in)
+                except FrameError as error:
+                    reply = connection.frame_error(error)
+                else:
+                    if framed is None:  # client hung up cleanly
                         return
-                    continue
-                self._try_reply(oversized)
-                return
-            except OSError:
-                return
-            if is_shutdown_payload(frame.payload) and response.ok:
-                self.server.initiate_shutdown()
-                return
-
-    def _handle_binary(self, session: Session, body: bytes) -> bool:
-        """Serve one RBF binary request frame; returns whether to keep going.
-
-        The reply goes back binary when the response shape is
-        representable and fits the frame limit; otherwise it falls back to
-        a JSON v2 envelope with the same correlation id — the client
-        accepts either.  A body the codec rejects is answered with one
-        final ``protocol`` envelope and the connection closed, mirroring
-        the JSON frame-error discipline (there is no trustworthy
-        correlation id to answer on).
-        """
-        limit = self.server.max_frame_bytes
-        metrics = self.server.metrics
-        try:
-            request_id, request_payload = decode_binary_request(body)
-        except CodecError as error:
-            self._try_reply(
-                Response(
-                    ok=False, error=ResponseError(code="protocol", message=str(error))
-                ).to_dict()
-            )
-            return False
-        frame = InboundFrame(
-            version=2,
-            request_id=request_id,
-            kind=request_payload.get("type"),
-            payload=request_payload,
-        )
-        response = execute_frame(session, frame)
-        reply = response.to_dict()
-        encoded = encode_binary_response(request_id, reply)
-        if encoded is not None and len(encoded) <= limit:
-            try:
-                with self._send_lock:
-                    self._counted_wfile.write(encode_binary_frame(encoded, limit))
-                    self._counted_wfile.flush()
-                metrics.frames_out.inc()
-                return True
-            except OSError:
-                return False
-        try:
-            with self._send_lock:
-                write_frame(self._counted_wfile, response_envelope(request_id, reply), limit)
-            metrics.frames_out.inc()
-            return True
-        except FrameError as error:
-            metrics.oversized.inc()
-            oversized = oversized_reply_response(error).to_dict()
-            return self._try_reply(response_envelope(request_id, oversized))
-        except OSError:
-            return False
-
-    def _try_reply(self, payload: dict) -> bool:
-        try:
-            with self._send_lock:
-                write_frame(self._counted_wfile, payload, self.server.max_frame_bytes)
-            self.server.metrics.frames_out.inc()
-            return True
-        except (FrameError, OSError):
-            return False
-
-    # -- standing queries ----------------------------------------------------------
-
-    def _handle_subscription(self, session: Session, frame: InboundFrame) -> bool:
-        """Serve one ``subscribe``/``unsubscribe`` envelope; False closes.
-
-        Registration happens here rather than in the session dispatch
-        because a subscription is connection state: its pushes ride this
-        socket and die with it.
-        """
-        if not self._greeted:
-            reply = pre_hello_subscribe_response().to_dict()
-            return self._try_reply(response_envelope(frame.request_id, reply))
-        assert frame.payload is not None
-        try:
-            request = parse_request(frame.payload)
-            if isinstance(request, UnsubscribeRequest):
-                response = unsubscribe_session(session, request)
-            else:
-                assert isinstance(request, SubscribeRequest)
-                response = self._register_subscription(session, request, frame.request_id)
-        except Exception as error:
-            response = error_response(error)
-        return self._try_reply(response_envelope(frame.request_id, response.to_dict()))
-
-    def _register_subscription(
-        self, session: Session, request: SubscribeRequest, subscription_id
-    ) -> Response:
-        if subscription_id in session.subscriptions:
-            raise InvalidRequestError(
-                f"subscription id {subscription_id!r} is already registered"
-                " on this connection"
-            )
-        entry = self.server.database._lookup(request.collection)
-        if entry.kind != "live":
-            raise subscription_target_error(entry.kind, request.collection)
-        binary = request.format == "binary"
-        limit = self.server.max_frame_bytes
-        metrics = self.server.metrics
-
-        def deliver(sub_id, body: dict) -> None:
-            data = None
-            if binary:
-                encoded = encode_binary_push(sub_id, body)
-                if encoded is not None and len(encoded) <= limit:
-                    data = encode_binary_frame(encoded, limit)
-            if data is None:
-                data = encode_frame(push_envelope(sub_id, body), limit)
-            with self._send_lock:
-                self._counted_wfile.write(data)
-                self._counted_wfile.flush()
-            metrics.frames_out.inc()
-
-        response, sub = self.server.database.subscriptions.subscribe(
-            entry.engine, request, subscription_id, deliver, "threaded"
-        )
-        session.subscriptions[sub.id] = sub
-        return response
+                    reply = connection.receive(*framed)
+                if reply.data:
+                    send(reply.data)
+                if reply.shutdown:
+                    server.initiate_shutdown()
+                if reply.close:
+                    return
+        except OSError:  # client aborted (RST, timeout): a clean close, not a crash
+            return
+        finally:
+            connection.close()
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

@@ -93,7 +93,7 @@ class ExecutorSurface:
             )
         )
 
-    # -- standing queries (live collections, v2 server connections only) -----------
+    # -- standing queries (live collections, server connections only) --------------
 
     def subscribe_request(
         self,
@@ -111,7 +111,7 @@ class ExecutorSurface:
 
         The network clients' ``subscribe()`` builds on this; executing it
         against an in-process session returns the typed
-        ``unsupported_protocol`` envelope, because only a v2 server
+        ``unsupported_protocol`` envelope, because only a server
         connection can carry the push frames the subscription needs.
         """
         return SubscribeRequest(

@@ -37,8 +37,7 @@ Subcommands
     ``cluster status`` prints membership, routing version, and replication
     lag; ``cluster reshard --moves 3:1,7:0`` migrates hash slots online.
 ``client``
-    Connect to a running server (protocol v2 with v1 fallback; pin with
-    ``--protocol``) and issue one request: a range query (``--query``), a
+    Connect to a running server and issue one request: a range query (``--query``), a
     k-NN query (``--query`` + ``--knn``), a mutation (``--insert`` /
     ``--delete`` / ``--upsert``), or an admin action (``--admin
     ping|collections|stats|metrics|slow_queries|create|drop|flush|compact|
@@ -50,7 +49,7 @@ Subcommands
     with their span trees.  ``--query`` + ``--subscribe`` registers a
     standing query instead: the snapshot prints immediately, result deltas
     stream as the collection changes, and the client unsubscribes cleanly
-    after ``--deltas N`` of them (protocol v2 servers only).
+    after ``--deltas N`` of them.
 ``figure`` / ``table``
     Regenerate one of the paper's figures or tables and print the report.
 """
@@ -76,6 +75,7 @@ from repro.api import (
     COLLECTION_ENGINES,
     Database,
     DatabaseServer,
+    PROTOCOL_VERSION,
     RemoteShardExecutor,
 )
 from repro.api.requests import KnnRequest, RangeQueryRequest
@@ -387,10 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="for '--admin create': shard count of the new collection",
     )
     client.add_argument(
-        "--protocol", type=int, choices=(1, 2), default=None,
-        help="pin the wire protocol version (default: negotiate v2, fall back to v1)",
-    )
-    client.add_argument(
         "--wire-format", choices=("json", "binary"), default=None,
         help="ask for RBF binary frame bodies on hot request shapes"
         " (negotiated at hello; falls back to json when the server lacks it)",
@@ -398,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     client.add_argument(
         "--subscribe", action="store_true",
         help="register --query as a standing query: print the snapshot, then"
-        " stream result deltas as the collection changes (protocol v2 only)",
+        " stream result deltas as the collection changes",
     )
     client.add_argument(
         "--deltas", type=int, default=1,
@@ -416,8 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     client.add_argument("--timeout", type=float, default=10.0, help="socket timeout (seconds)")
     client.add_argument(
         "--trace", action="store_true",
-        help="ask the server to trace the request and print its span tree"
-        " (protocol v2 only; silently dropped on a v1 connection)",
+        help="ask the server to trace the request and print its span tree",
     )
     client.add_argument(
         "--format", choices=("json", "prometheus"), default=None,
@@ -1100,7 +1095,7 @@ def _cluster_status_lines(status: dict) -> list[str]:
 
 def _command_cluster_status(args: argparse.Namespace) -> int:
     try:
-        with Client(args.host, args.port, timeout=args.timeout, protocol=2) as client:
+        with Client(args.host, args.port, timeout=args.timeout) as client:
             response = client.execute(
                 AdminRequest(collection=args.collection, action="route")
             )
@@ -1130,7 +1125,7 @@ def _command_cluster_reshard(args: argparse.Namespace) -> int:
         print("error: --moves lists no slot:shard pairs", file=sys.stderr)
         return 2
     try:
-        with Client(args.host, args.port, timeout=args.timeout, protocol=2) as client:
+        with Client(args.host, args.port, timeout=args.timeout) as client:
             response = client.execute(
                 AdminRequest(collection=args.collection, action="reshard", moves=moves)
             )
@@ -1202,11 +1197,8 @@ def _run_client_op(client: Client, args: argparse.Namespace) -> tuple[int, list[
         lines = _match_lines(response, args.limit)
         if response.cursor is not None:
             lines.append(f"... more matches beyond --limit {args.limit} (cursor={response.cursor})")
-        if args.trace:
-            if response.trace is not None:
-                lines.extend(span_tree_lines(response.trace))
-            else:
-                lines.append("(no trace: the connection fell back to protocol v1)")
+        if response.trace is not None:
+            lines.extend(span_tree_lines(response.trace))
         return 0, lines
     if args.insert is not None:
         key = client.insert(_parse_query_items(args.insert), collection=args.collection)
@@ -1259,7 +1251,7 @@ def _run_client_op(client: Client, args: argparse.Namespace) -> tuple[int, list[
         data = dict(response.data or {})
         data["wire"] = {
             "format": client.wire_format,
-            "protocol": client.protocol_version,
+            "protocol": PROTOCOL_VERSION,
         }
         return 0, [json.dumps(data, indent=2, sort_keys=True)]
     return 0, [json.dumps(response.data, indent=2, sort_keys=True)]
@@ -1358,8 +1350,7 @@ def _command_client(args: argparse.Namespace) -> int:
         return 2
     try:
         client = Client(
-            args.host, args.port, timeout=args.timeout, protocol=args.protocol,
-            wire_format=args.wire_format,
+            args.host, args.port, timeout=args.timeout, wire_format=args.wire_format,
         )
     except (OSError, ConnectionError) as error:
         print(f"error: cannot connect to {args.host}:{args.port}: {error}", file=sys.stderr)

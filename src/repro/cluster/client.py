@@ -66,7 +66,7 @@ class ClusterClient:
         self._collection = collection
         self._timeout = timeout
         self._max_retries = max_retries
-        self._coordinator = Client(host, port, timeout=timeout, protocol=2)
+        self._coordinator = Client(host, port, timeout=timeout)
         self._shard_clients: dict[str, Client] = {}
         self._table: Optional[RoutingTable] = None
 
@@ -218,7 +218,7 @@ class ClusterClient:
         client = self._shard_clients.get(address)
         if client is None or client.closed:
             host, _, port = address.rpartition(":")
-            client = Client(host, int(port), timeout=self._timeout, protocol=2)
+            client = Client(host, int(port), timeout=self._timeout)
             self._shard_clients[address] = client
         return client
 

@@ -1121,7 +1121,6 @@ class Coordinator(ExecutorSurface):
                     node.host,
                     node.port,
                     timeout=self._timeout,
-                    protocol=2,
                     wire_format=self._wire_format,
                 )
             return node.client

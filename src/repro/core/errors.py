@@ -102,12 +102,12 @@ class NotPrimaryError(ReproError):
 class UnsupportedProtocolError(ReproError):
     """A request needs a protocol capability the connection does not have.
 
-    Raised when a standing-query ``subscribe`` arrives on a protocol v1
-    connection, before the v2 hello, or through an in-process session:
-    push frames only exist on enveloped v2 connections, and a v1 client
-    that received one would misparse it as a reply.  The protocol layer
-    maps it to an ``unsupported_protocol`` envelope on a healthy
-    connection — the client can keep using request/response verbs.
+    Raised when a standing-query ``subscribe`` arrives before the hello
+    handshake or through an in-process session (push frames only exist on
+    greeted server connections), and when a frame arrives in the removed
+    protocol v1 shape, a bare request payload without an envelope.  The
+    protocol layer maps it to an ``unsupported_protocol`` envelope on a
+    healthy connection — the client can keep using request/response verbs.
     """
 
 

@@ -1,10 +1,11 @@
-"""Protocol v2: envelopes, handshake fallback, pipelining, both transports.
+"""The wire protocol: envelopes, handshake, pipelining, both transports.
 
 The contracts under test:
 
-* **interop** — a v1 client (PR 4 framing) round-trips against the v2
-  servers unchanged, and a v2 client falls back to v1 framing against a
-  v1-only server (``protocol=2`` refuses instead);
+* **one protocol** — a bare protocol v1 frame is refused with a typed
+  ``unsupported_protocol`` envelope on a connection that stays usable, a
+  client refuses a peer that does not answer the handshake with an
+  envelope, and ``Client(protocol=1)`` no longer exists;
 * **correlation** — responses match requests by ``id`` even when the
   server answers out of order, and a timed-out request fails alone while
   its late reply is silently discarded;
@@ -19,6 +20,7 @@ import asyncio
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -34,7 +36,13 @@ from repro.api import (
     request_envelope,
     response_envelope,
 )
-from repro.api.protocol import PROTOCOL_VERSION, read_frame, write_frame
+from repro.api.protocol import (
+    BINARY_FRAME_FLAG,
+    PROTOCOL_VERSION,
+    read_frame,
+    read_frame_any,
+    write_frame,
+)
 from repro.api.requests import (
     DeleteRequest,
     InsertRequest,
@@ -42,8 +50,11 @@ from repro.api.requests import (
     RangeQueryRequest,
     UpsertRequest,
 )
+from repro.codec import wire
 from repro.datasets.nyt import nyt_like_dataset
 from repro.datasets.queries import sample_queries
+from repro.obs import names as metric_names
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 THETA = 0.25
 K = 8
@@ -63,12 +74,15 @@ def _make_database(rankings) -> Database:
     return database
 
 
+def _server_type(transport: str):
+    return DatabaseServer if transport == "threaded" else AsyncDatabaseServer
+
+
 @pytest.fixture(params=["threaded", "asyncio"])
 def served(request, rankings):
     """Both transports behind one fixture: the contracts must hold on each."""
     database = _make_database(rankings)
-    server_type = DatabaseServer if request.param == "threaded" else AsyncDatabaseServer
-    with server_type(database, port=0) as server:
+    with _server_type(request.param)(database, port=0) as server:
         yield server, database
     database.close()
 
@@ -148,20 +162,20 @@ def _answer_hello(stream) -> None:
         stream,
         response_envelope(
             frame["id"],
-            {"ok": True, "data": {"version": 2, "versions": [1, 2], "max_frame_bytes": 2**20}},
+            {"ok": True, "data": {"version": 2, "versions": [2], "max_frame_bytes": 2**20}},
         ),
     )
 
 
 class TestClassifyFrame:
-    def test_v1_payloads_pass_through(self):
+    def test_v1_payloads_are_bare_and_not_dispatchable(self):
         frame = classify_frame({"type": "range", "collection": "news", "items": [1], "theta": 0.1})
-        assert frame.version == 1 and frame.error is None
-        assert frame.payload == {"type": "range", "collection": "news", "items": [1], "theta": 0.1}
+        assert frame.bare and frame.payload is None
+        assert frame.error is not None and "protocol v2" in frame.error
 
     def test_v2_envelope_unwraps_to_v1_payload(self):
         frame = classify_frame(request_envelope(7, {"type": "knn", "items": [1, 2], "k": 3}))
-        assert frame.version == 2 and frame.request_id == 7 and frame.kind == "knn"
+        assert not frame.bare and frame.request_id == 7 and frame.kind == "knn"
         assert frame.payload == {"type": "knn", "items": [1, 2], "k": 3}
 
     def test_hello_is_recognised(self):
@@ -183,73 +197,62 @@ class TestClassifyFrame:
     )
     def test_malformed_envelopes_are_reported_not_fatal(self, payload, complaint):
         frame = classify_frame(payload)
-        assert frame.version == 2
+        assert not frame.bare
         assert frame.error is not None and complaint in frame.error
 
     def test_admin_create_payload_is_not_mistaken_for_an_envelope(self):
-        # the DDL field is deliberately named 'engine', not 'kind' — a v1
-        # admin/create frame must classify as a v1 request
+        # the DDL field is deliberately named 'engine', not 'kind' — a bare
+        # admin/create frame must classify as bare, not as a broken envelope
         payload = {"type": "admin", "action": "create", "collection": "x",
                    "engine": "live", "num_shards": 1}
-        assert classify_frame(payload).version == 1
+        assert classify_frame(payload).bare
 
 
 class TestHandshake:
     def test_negotiated_client_lands_on_v2(self, served):
         server, _ = served
         with Client(*server.address) as client:
-            assert client.protocol_version == PROTOCOL_VERSION
             assert client.server_info is not None
-            assert client.server_info["versions"] == [1, 2]
+            assert client.server_info["version"] == PROTOCOL_VERSION
+            assert client.server_info["versions"] == [PROTOCOL_VERSION]
             assert client.ping() is True
 
-    def test_forced_v1_client_works_against_v2_server(self, served):
-        """Old client vs new server: the PR 4 framing still round-trips."""
+    def test_protocol_1_is_gone_from_the_client(self):
+        """The constructor refuses before it touches the network."""
+        with pytest.raises(ValueError, match="protocol=1 was removed"):
+            Client("127.0.0.1", 1, protocol=1)
+        with pytest.raises(ValueError, match="None or 2"):
+            Client("127.0.0.1", 1, protocol=3)
+
+    def test_raw_v1_frame_is_refused_then_hello_succeeds(self, served, rankings):
+        """A bare frame gets one bare typed refusal; the stream stays usable."""
         server, _ = served
-        with Client(*server.address, protocol=1) as client:
-            assert client.protocol_version == 1
-            assert client.ping() is True
-            response = client.range_query(list(range(1, K + 1)), 0.4, collection="news")
-            assert response.ok
-
-    def test_raw_v1_frames_work_against_v2_server(self, served, rankings):
-        """Byte-level old client: bare frames, no handshake, ordered replies."""
-        server, database = served
-        session = database.session()
         query = list(rankings)[0].items
         with socket.create_connection(server.address, timeout=10.0) as raw:
             stream = raw.makefile("rwb")
-            payload = {"type": "range", "collection": "news",
-                       "items": list(query), "theta": THETA}
-            write_frame(stream, payload)
+            write_frame(stream, {"type": "range", "collection": "news",
+                                 "items": list(query), "theta": THETA})
             reply = read_frame(stream)
-            assert reply is not None and "id" not in reply  # a bare v1 envelope
-            from repro.api import Response
-
-            assert (
-                Response.from_dict(reply).result_bytes()
-                == session.execute(payload).result_bytes()
-            )
-
-    def test_v2_client_falls_back_against_v1_server(self, rankings):
-        database = _make_database(rankings)
-        fake = _FakeV1Server(database)
-        try:
-            with Client(*fake.address) as client:
-                assert client.protocol_version == 1
-                assert client.ping() is True
-                with pytest.raises(ConnectionError, match="protocol v2"):
-                    client.submit(RangeQueryRequest(collection="news", items=(1,), theta=0.1))
-        finally:
-            fake.close()
-            database.close()
+            assert reply is not None and "id" not in reply  # nothing to correlate on
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "unsupported_protocol"
+            assert "protocol v2" in reply["error"]["message"]
+            write_frame(stream, hello_payload(1))
+            hello = read_frame(stream)
+            assert hello["id"] == 1 and hello["body"]["ok"] is True
+            assert hello["body"]["data"]["versions"] == [PROTOCOL_VERSION]
+            write_frame(stream, request_envelope(2, {"type": "admin", "action": "ping"}))
+            assert read_frame(stream)["body"]["ok"] is True
 
     def test_protocol_2_refuses_a_v1_server(self, rankings):
+        """No fallback: a peer answering the hello with a bare frame is refused
+        (``protocol=2`` is still accepted, and selects nothing)."""
         database = _make_database(rankings)
         fake = _FakeV1Server(database)
         try:
-            with pytest.raises(ConnectionError, match="does not speak protocol v2"):
-                Client(*fake.address, protocol=2)
+            for pinned in (None, 2):
+                with pytest.raises(ConnectionError, match="does not speak protocol v2"):
+                    Client(*fake.address, protocol=pinned)
         finally:
             fake.close()
             database.close()
@@ -267,6 +270,75 @@ class TestHandshake:
             write_frame(stream, request_envelope(10, {"type": "admin", "action": "ping"}))
             reply = read_frame(stream)
             assert reply["id"] == 10 and reply["body"]["ok"] is True
+
+
+class TestTransportParity:
+    """Both transports feed one ``ServerConnection``: same frames, same end."""
+
+    @pytest.mark.parametrize("transport", ["threaded", "asyncio"])
+    def test_unframeable_reply_closes_instead_of_hanging(self, rankings, transport):
+        """A 64-byte limit fits neither the hello reply nor the error about
+        it: the server must hang up, not leave the client waiting."""
+        database = _make_database(rankings)
+        try:
+            with _server_type(transport)(database, port=0, max_frame_bytes=64) as server:
+                with socket.create_connection(server.address, timeout=2.0) as raw:
+                    stream = raw.makefile("rwb")
+                    write_frame(stream, hello_payload(0))
+                    started = time.monotonic()
+                    assert read_frame(stream) is None  # closed, and at once
+                    assert time.monotonic() - started < 1.5
+        finally:
+            database.close()
+
+    def _scripted_exchange(self, rankings, transport: str) -> dict:
+        """One fixed conversation; returns the server's wire counters after it.
+
+        Every JSON reply in it is free of volatile fields (latency stats), so
+        byte counts are exact: the one query travels binary, which drops them.
+        """
+        query = RangeQueryRequest(collection="news", items=list(rankings)[0].items, theta=THETA)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        database = _make_database(rankings)
+        try:
+            with _server_type(transport)(database, port=0) as server:
+                with socket.create_connection(server.address, timeout=10.0) as raw:
+                    stream = raw.makefile("rwb")
+                    for frame in (
+                        hello_payload(0),
+                        request_envelope(1, {"type": "admin", "action": "ping"}),
+                        query.to_dict(),  # bare: refused, connection lives
+                        {"id": 2, "kind": "range", "body": []},  # malformed envelope
+                    ):
+                        write_frame(stream, frame)
+                        assert read_frame(stream) is not None
+                    body = wire.encode_request(3, query.to_dict())
+                    stream.write(struct.pack("!I", len(body) | BINARY_FRAME_FLAG) + body)
+                    stream.flush()
+                    assert read_frame_any(stream)[0] == "binary"
+                    garbage = b"not json"  # a whole frame the server cannot parse
+                    stream.write(struct.pack("!I", len(garbage)) + garbage)
+                    stream.flush()
+                    assert read_frame(stream)["error"]["code"] == "protocol"
+                    assert read_frame(stream) is None
+        finally:
+            database.close()
+            set_registry(previous)
+        counters = {}
+        for direction in ("in", "out"):
+            for name in (metric_names.SERVER_FRAMES_TOTAL, metric_names.SERVER_BYTES_TOTAL):
+                counters[name, direction] = registry.counter(
+                    name, transport=transport, direction=direction
+                ).value
+        return counters
+
+    def test_wire_counters_agree_across_transports(self, rankings):
+        threaded = self._scripted_exchange(rankings, "threaded")
+        assert threaded[metric_names.SERVER_FRAMES_TOTAL, "in"] == 5  # the garbage is no frame
+        assert threaded[metric_names.SERVER_FRAMES_TOTAL, "out"] == 6
+        assert threaded[metric_names.SERVER_BYTES_TOTAL, "in"] > 0
+        assert threaded == self._scripted_exchange(rankings, "asyncio")
 
 
 class TestCorrelation:

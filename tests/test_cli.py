@@ -89,6 +89,13 @@ class TestCompareAndReports:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_client_protocol_flag_is_gone(self, capsys):
+        """There is one wire protocol; nothing is left to pin."""
+        with pytest.raises(SystemExit) as caught:
+            main(["client", "--protocol", "1", "--admin", "ping"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --protocol" in capsys.readouterr().err
+
 
 class TestIngest:
     @staticmethod

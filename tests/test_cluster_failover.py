@@ -225,3 +225,35 @@ class TestFailoverObservability:
             for family in response.data["metrics"]:
                 for sample in family["samples"]:
                     assert "node" in sample["labels"]
+
+
+class TestServedCoordinator:
+    """A coordinator behind either transport is an ordinary, quiet server."""
+
+    @pytest.mark.parametrize("transport", ["threaded", "asyncio"])
+    def test_connections_end_cleanly_and_subscribe_is_refused(
+        self, transport, capsys, caplog
+    ):
+        from repro.api import AsyncDatabaseServer, Client, DatabaseServer
+
+        server_type = DatabaseServer if transport == "threaded" else AsyncDatabaseServer
+        with LocalCluster(shards=1, replicas=0) as cluster:
+            with server_type(cluster.coordinator, port=0) as server:
+                with Client(*server.address) as client:
+                    assert client.ping() is True
+                    # a coordinator holds no collection to watch: typed refusal
+                    response = client.execute(
+                        {"type": "subscribe", "collection": "default", "mode": "range",
+                         "items": list(range(K)), "theta": 0.2}
+                    )
+                    assert not response.ok
+                    assert response.error.code == "invalid_request"
+                    assert "standing queries" in response.error.message
+                    assert client.ping() is True  # and the connection lives on
+                with Client(*server.address) as client:
+                    assert client.ping() is True
+                time.sleep(0.2)  # let the first connection's handler finish
+        # tearing a connection down must not trip over the coordinator having
+        # no subscription registry (threaded: stderr traceback; asyncio: logged)
+        assert "Traceback" not in capsys.readouterr().err
+        assert [record for record in caplog.records if record.levelname == "ERROR"] == []

@@ -2,12 +2,10 @@
 
 The contracts under test:
 
-* **opt-in** — a request is traced only when its v2 envelope carries the
+* **opt-in** — a request is traced only when its envelope carries the
   ``trace`` field; untraced requests pay nothing and return no trace;
-* **interop** — a trace opt-in on a v1 connection is silently dropped
-  (v1 has no field to carry it), while an *invalid* trace value gets a
-  correlated ``invalid_request`` envelope on a connection that stays
-  healthy;
+* **validation** — an *invalid* trace value gets a correlated
+  ``invalid_request`` envelope on a connection that stays healthy;
 * **propagation** — a traced query through :class:`RemoteShardExecutor`
   comes back with one span tree spanning the coordinator and every shard
   server, each graft carrying the propagated trace id;
@@ -155,15 +153,6 @@ class TestTracePropagation:
             )
             reply = read_frame(stream)
             assert reply["body"]["error"]["code"] == "invalid_request"
-
-    def test_v1_connection_silently_drops_the_trace(self, served, queries):
-        """v1 framing has no envelope, hence no field to carry the opt-in."""
-        server, _ = served
-        request = RangeQueryRequest(collection="news", items=queries[0], theta=THETA)
-        with Client(*server.address, protocol=1) as client:
-            assert client.protocol_version == 1
-            response = client.execute(request, trace=True)
-        assert response.ok and response.trace is None
 
     def test_pipelined_traces_get_unique_ids(self, served, queries):
         server, _ = served

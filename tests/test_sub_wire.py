@@ -7,9 +7,9 @@ flush, and a compaction; on the threaded and the asyncio transport; with
 JSON and RBF binary delta frames; from the blocking and the asyncio
 client.
 
-The safety contracts around it: subscribing over protocol v1 or before
-the v2 hello fails with a typed ``unsupported_protocol`` envelope on a
-connection that stays healthy; unsubscribe ends the stream cleanly and
+The safety contracts around it: subscribing with a bare protocol v1
+frame or before the hello fails with a typed ``unsupported_protocol``
+envelope on a connection that stays healthy; unsubscribe ends the stream cleanly and
 is idempotent; a dropped connection tears down every subscription it
 registered.
 """
@@ -204,20 +204,24 @@ class TestProtocolSafety:
         database = _make_database(rankings)
         try:
             with _served(database, transport) as address:
-                with Client(*address, protocol=1) as client:
-                    response = client.execute(
+                with socket.create_connection(address, timeout=10.0) as raw:
+                    stream = raw.makefile("rwb")
+                    write_frame(
+                        stream,
                         {
                             "type": "subscribe",
                             "collection": "updates",
                             "mode": "range",
                             "items": [1, 2, 3, 4],
                             "theta": 0.2,
-                        }
+                        },
                     )
+                    response = Response.from_dict(read_frame(stream))  # bare, like the frame
                     assert not response.ok
                     assert response.error.code == "unsupported_protocol"
                     # the connection survives: a follow-up request answers
-                    assert client.execute({"type": "admin", "action": "ping"}).ok
+                    write_frame(stream, request_envelope(1, {"type": "admin", "action": "ping"}))
+                    assert read_frame(stream)["body"]["ok"] is True
         finally:
             database.close()
 
@@ -250,17 +254,6 @@ class TestProtocolSafety:
                     write_frame(stream, {"id": 2, "kind": "hello", "body": {"version": 2}})
                     hello = read_frame(stream)
                     assert hello["id"] == 2 and hello["body"]["ok"] is True
-        finally:
-            database.close()
-
-    @pytest.mark.parametrize("transport", ["threaded", "asyncio"])
-    def test_v2_client_pinned_to_v1_refuses_locally(self, rankings, transport):
-        database = _make_database(rankings)
-        try:
-            with _served(database, transport) as address:
-                with Client(*address, protocol=1) as client:
-                    with pytest.raises(ConnectionError, match="protocol v2"):
-                        client.subscribe([1, 2, 3, 4], collection="updates", theta=0.2)
         finally:
             database.close()
 
