@@ -9,14 +9,15 @@ Layering (each module only depends on the ones above it)::
 
     requests.py   typed request objects + strict wire-payload validation
     responses.py  the Response envelope, error codes, canonical JSON
-    surface.py    ExecutorSurface: engine-shaped helpers over execute()
+    surface.py    ExecutorSurface: engine-shaped verbs over one _call hook
     database.py   Database facade (named static/live collections) + Session
     protocol.py   length-prefixed frames (sync + asyncio readers) + the envelope
-    connection.py ServerConnection: one connection's protocol decisions, no I/O
+    connection.py both sides of one connection, no I/O: ServerConnection and
+                  ClientConnection (+ the subscription handle's shared half)
     server.py     threaded TCP transport around ServerConnection
-    client.py     blocking client: hello handshake, pipelining
+    client.py     blocking transport around ClientConnection: pipelining
     aserver.py    asyncio transport around the same ServerConnection
-    aclient.py    asyncio client: pipelining as plain await concurrency
+    aclient.py    asyncio transport around the same ClientConnection
     remote.py     RemoteShardExecutor: ShardedIndex fan-out to shard servers
 
 The invariant the whole package is built around: for any request, the
@@ -45,7 +46,6 @@ from repro.api.protocol import (
     hello_payload,
     push_envelope,
     read_frame,
-    read_frame_async,
     request_envelope,
     response_envelope,
     write_frame,
@@ -126,7 +126,6 @@ __all__ = [
     "parse_request",
     "push_envelope",
     "read_frame",
-    "read_frame_async",
     "request_envelope",
     "response_envelope",
     "write_frame",

@@ -237,13 +237,6 @@ async def read_frame_any_async(
     return _whole_frame(binary, body, byte_counter)
 
 
-async def read_frame_async(
-    reader: asyncio.StreamReader, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Optional[dict]:
-    """:func:`read_frame` over an asyncio stream (JSON frames only)."""
-    return _json_only(await read_frame_any_async(reader, max_frame_bytes))
-
-
 def encode_binary_frame(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
     """Frame one RBF binary envelope body (header with the binary flag set)."""
     if len(body) > min(max_frame_bytes, FRAME_LENGTH_MASK):

@@ -2,11 +2,12 @@
 
 :class:`ExecutorSurface` turns a single ``execute(request) -> Response``
 primitive into the familiar engine-shaped API — ``range_query`` / ``knn`` /
-``batch`` plus the mutations and admin verbs.  Both
-:class:`~repro.api.database.Session` (in-process) and
-:class:`~repro.api.client.Client` (over the wire) mix it in, which is what
-makes remote and local call sites interchangeable: same methods, same
-envelopes, same typed errors.
+``batch`` plus the mutations and admin verbs — each through one hook,
+``_call(request, finish)``, which the asyncio client overrides with a
+coroutine.  :class:`~repro.api.database.Session` (in-process),
+:class:`~repro.api.client.Client` and :class:`~repro.api.aclient.AsyncClient`
+(over the wire) all mix it in, which is what makes remote and local call
+sites interchangeable: same methods, same envelopes, same typed errors.
 
 Query verbs return the :class:`~repro.api.responses.Response` envelope
 as-is (callers inspect ``matches`` / ``stats`` / ``error``); mutation and
@@ -16,7 +17,7 @@ admin verbs raise the envelope's typed error and return the useful part
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.ranking import Ranking
 from repro.api.requests import (
@@ -38,12 +39,36 @@ from repro.api.responses import Response
 Items = Union[Ranking, Sequence[int]]
 
 
+def _envelope(response: Response) -> Response:
+    return response
+
+
+def _data(response: Response) -> dict:
+    response.raise_for_error()
+    assert response.data is not None
+    return response.data
+
+
+def _key(response: Response) -> int:
+    response.raise_for_error()
+    assert response.key is not None
+    return response.key
+
+
+def _nothing(response: Response) -> None:
+    response.raise_for_error()
+
+
 class ExecutorSurface:
     """Engine-shaped helpers defined purely in terms of :meth:`execute`."""
 
     def execute(self, request: RequestLike) -> Response:
         """Answer one request with an envelope (never raises for bad input)."""
         raise NotImplementedError
+
+    def _call(self, request: RequestLike, finish: Callable[[Response], Any]) -> Any:
+        """Execute ``request`` and return ``finish(response)``: every verb's one hook."""
+        return finish(self.execute(request))
 
     # -- queries -------------------------------------------------------------------
 
@@ -58,11 +83,12 @@ class ExecutorSurface:
         cursor: int = 0,
     ) -> Response:
         """One similarity range query; the envelope carries the matches."""
-        return self.execute(
+        return self._call(
             RangeQueryRequest(
                 collection=collection, items=items, theta=theta,
                 algorithm=algorithm, limit=limit, cursor=cursor,
-            )
+            ),
+            _envelope,
         )
 
     def knn(
@@ -74,8 +100,9 @@ class ExecutorSurface:
         algorithm: Optional[str] = None,
     ) -> Response:
         """One exact k-nearest-neighbour query."""
-        return self.execute(
-            KnnRequest(collection=collection, items=items, k=k, algorithm=algorithm)
+        return self._call(
+            KnnRequest(collection=collection, items=items, k=k, algorithm=algorithm),
+            _envelope,
         )
 
     def batch(
@@ -87,10 +114,11 @@ class ExecutorSurface:
         algorithm: Optional[str] = None,
     ) -> Response:
         """A batch of range queries; the envelope nests one per query."""
-        return self.execute(
+        return self._call(
             BatchRequest(
                 collection=collection, queries=tuple(queries), theta=theta, algorithm=algorithm
-            )
+            ),
+            _envelope,
         )
 
     # -- standing queries (live collections, server connections only) --------------
@@ -135,33 +163,35 @@ class ExecutorSurface:
 
     def insert(self, items: Items, *, collection: str = DEFAULT_COLLECTION) -> int:
         """Insert one ranking; returns its logical key."""
-        response = self.execute(InsertRequest(collection=collection, items=items))
-        response.raise_for_error()
-        assert response.key is not None
-        return response.key
+        return self._call(InsertRequest(collection=collection, items=items), _key)
 
     def delete(self, key: int, *, collection: str = DEFAULT_COLLECTION) -> None:
         """Delete the ranking stored under ``key``."""
-        self.execute(DeleteRequest(collection=collection, key=key)).raise_for_error()
+        return self._call(DeleteRequest(collection=collection, key=key), _nothing)
 
     def upsert(self, key: int, items: Items, *, collection: str = DEFAULT_COLLECTION) -> None:
         """Replace (or insert) the ranking under ``key``."""
-        self.execute(UpsertRequest(collection=collection, key=key, items=items)).raise_for_error()
+        return self._call(UpsertRequest(collection=collection, key=key, items=items), _nothing)
 
     # -- admin ---------------------------------------------------------------------
 
-    def _admin(self, action: str, collection: str) -> Response:
-        return self.execute(AdminRequest(collection=collection, action=action)).raise_for_error()
+    def _admin(
+        self, action: str, collection: str, finish: Callable[[Response], Any] = _data
+    ) -> Any:
+        return self._call(AdminRequest(collection=collection, action=action), finish)
 
     def ping(self) -> bool:
         """Liveness probe."""
-        return bool(self._admin("ping", DEFAULT_COLLECTION).data)
+        return self._admin(
+            "ping", DEFAULT_COLLECTION, lambda response: bool(response.raise_for_error().data)
+        )
 
     def collections(self) -> list[dict]:
         """Descriptors of every collection the database holds."""
-        response = self._admin("collections", DEFAULT_COLLECTION)
-        assert response.data is not None
-        return list(response.data["collections"])
+        return self._admin(
+            "collections", DEFAULT_COLLECTION,
+            lambda response: list(_data(response)["collections"]),
+        )
 
     def create_collection(
         self,
@@ -179,7 +209,7 @@ class ExecutorSurface:
         created empty unless ``rankings`` seed them.  Returns the server's
         descriptor of what was created.
         """
-        response = self.execute(
+        return self._call(
             AdminRequest(
                 collection=name,
                 action="create",
@@ -188,24 +218,17 @@ class ExecutorSurface:
                 algorithm=algorithm,
                 num_shards=num_shards,
                 cache_capacity=cache_capacity,
-            )
-        ).raise_for_error()
-        assert response.data is not None
-        return response.data
+            ),
+            _data,
+        )
 
     def drop_collection(self, name: str) -> dict:
         """DDL: remove a collection and close its engine."""
-        response = self.execute(
-            AdminRequest(collection=name, action="drop")
-        ).raise_for_error()
-        assert response.data is not None
-        return response.data
+        return self._call(AdminRequest(collection=name, action="drop"), _data)
 
     def stats(self, collection: str = DEFAULT_COLLECTION) -> dict:
         """Engine statistics for one collection."""
-        response = self._admin("stats", collection)
-        assert response.data is not None
-        return response.data
+        return self._admin("stats", collection)
 
     def metrics(self, format: Optional[str] = None) -> dict:
         """The process metrics registry behind this surface.
@@ -214,32 +237,75 @@ class ExecutorSurface:
         ``"prometheus"`` returns ``{"exposition": "<text>"}`` with the
         scrape-ready text exposition.
         """
-        response = self.execute(
-            AdminRequest(action="metrics", format=format)
-        ).raise_for_error()
-        assert response.data is not None
-        return response.data
+        return self._call(AdminRequest(action="metrics", format=format), _data)
 
     def slow_queries(self) -> list[dict]:
         """The database's slowest requests so far, slowest first."""
-        response = self._admin("slow_queries", DEFAULT_COLLECTION)
-        assert response.data is not None
-        return list(response.data["slow_queries"])
+        return self._admin(
+            "slow_queries", DEFAULT_COLLECTION,
+            lambda response: list(_data(response)["slow_queries"]),
+        )
 
     def flush(self, collection: str = DEFAULT_COLLECTION) -> Optional[int]:
         """Seal a live collection's memtable; returns the segment id."""
-        response = self._admin("flush", collection)
-        assert response.data is not None
-        return response.data.get("segment_id")
+        return self._admin(
+            "flush", collection, lambda response: _data(response).get("segment_id")
+        )
 
     def compact(self, collection: str = DEFAULT_COLLECTION) -> bool:
         """Compact a live collection; returns whether a compaction ran."""
-        response = self._admin("compact", collection)
-        assert response.data is not None
-        return bool(response.data.get("compacted"))
+        return self._admin(
+            "compact", collection, lambda response: bool(_data(response).get("compacted"))
+        )
 
     def snapshot(self, collection: str = DEFAULT_COLLECTION) -> str:
         """Checkpoint a live collection; returns the manifest path."""
-        response = self._admin("snapshot", collection)
-        assert response.data is not None
-        return str(response.data["path"])
+        return self._admin(
+            "snapshot", collection, lambda response: str(_data(response)["path"])
+        )
+
+
+class ConnectionSurface(ExecutorSurface):
+    """The verbs only a server connection has: standing queries and shutdown.
+
+    Each network client implements ``_subscribe(request, timeout)``: send
+    the request with its handle registered, return the handle once the
+    snapshot arrived.
+    """
+
+    def subscribe(
+        self,
+        items: Items,
+        *,
+        collection: str = DEFAULT_COLLECTION,
+        mode: str = "range",
+        theta: float = 0.0,
+        k: int = 0,
+        algorithm: Optional[str] = None,
+        queue_size: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ) -> Any:
+        """Register a standing query; returns its live subscription handle.
+
+        Waits for the server's reply with the query's current result set
+        (the snapshot); deltas then arrive on the handle as mutations
+        commit.  Binary delta bodies are requested automatically when the
+        connection negotiated the binary wire.
+        """
+        request = self.subscribe_request(
+            items,
+            collection=collection,
+            mode=mode,
+            theta=theta,
+            k=k,
+            algorithm=algorithm,
+            queue_size=queue_size,
+        )
+        return self._subscribe(request, timeout)
+
+    def _subscribe(self, request: SubscribeRequest, timeout: Optional[float]) -> Any:
+        raise NotImplementedError
+
+    def shutdown_server(self) -> Response:
+        """Ask the server to stop after acknowledging (admin/shutdown)."""
+        return self._call({"type": "admin", "action": "shutdown"}, _envelope)

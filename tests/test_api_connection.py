@@ -1,11 +1,13 @@
-"""The protocol state machine on its own: no socket, no thread, no loop.
+"""The protocol state machines on their own: no socket, no thread, no loop.
 
 :class:`~repro.api.connection.ServerConnection` is fed ``(shape, payload)``
 tuples — exactly what ``read_frame_any`` yields — and answers with bytes
-and flags, so every protocol rule both transports obey is pinned here
-once.  The socket-level suites (``test_api_server``, ``test_api_protocol_v2``,
-``test_sub_wire``) stay transport-parametrised and check that the bytes
-really move.
+and flags; :class:`~repro.api.connection.ClientConnection` turns requests
+into bytes and routes what comes back.  Every protocol rule both server
+transports and both clients obey is pinned here once, and the two cores
+talk to each other over in-memory bytes.  The socket-level suites
+(``test_api_server``, ``test_api_protocol_v2``, ``test_sub_wire``) stay
+transport-parametrised and check that the bytes really move.
 """
 
 from __future__ import annotations
@@ -16,13 +18,23 @@ import time
 
 import pytest
 
-from repro.api import Database, RangeQueryRequest, Response, hello_payload, request_envelope
-from repro.api.connection import Reply, ServerConnection, ServerMetrics
-from repro.api.protocol import FrameTooLargeError, read_frame_any
+from repro.api import (
+    Database,
+    RangeQueryRequest,
+    Response,
+    SubscribeRequest,
+    Subscription,
+    hello_payload,
+    push_envelope,
+    request_envelope,
+    response_envelope,
+)
+from repro.api.connection import ClientConnection, Reply, ServerConnection, ServerMetrics
+from repro.api.protocol import FrameError, FrameTooLargeError, hello_data, read_frame_any
 from repro.codec import wire
 from repro.core.ranking import RankingSet
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.sub.delta import EVENT_DELTA
+from repro.sub.delta import EVENT_DELTA, EVENT_ERROR, PushDelta
 
 LIMIT = 1 << 20
 RANKINGS = [[1, 2, 3, 4], [1, 2, 4, 3], [2, 1, 3, 4], [7, 8, 9, 10], [1, 3, 2, 4]]
@@ -312,3 +324,250 @@ class TestShutdown:
         accepted = _ask(connection, 2, {"type": "admin", "action": "shutdown"})
         assert _json(accepted)["body"]["data"] == {"acknowledged": True}
         assert accepted.shutdown and accepted.close
+
+
+# -- the client side ---------------------------------------------------------------
+
+
+def _hello_reply(request_id=0, **data):
+    """A server's handshake answer, as the client's frame reader yields it."""
+    data = {**hello_data(LIMIT), **data}
+    return "json", response_envelope(request_id, {"ok": True, "data": data})
+
+
+def _client(binary=False, **data) -> ClientConnection:
+    core = ClientConnection(LIMIT, binary=binary)
+    core.hello()
+    core.handshake(_hello_reply(**data))
+    return core
+
+
+def _reply(request_id, body):
+    return "json", response_envelope(request_id, body)
+
+
+DELTA = {"event": EVENT_DELTA, "version": 3, "entered": [], "moved": [], "left": [7]}
+PING_OK = {"ok": True, "data": {"pong": True}}
+
+
+class TestClientHandshake:
+    def test_accepted_hello_records_the_server(self):
+        core = ClientConnection(LIMIT)
+        shape, hello = read_frame_any(io.BytesIO(core.hello()), LIMIT)
+        assert shape == "json" and hello == hello_payload(0)
+        core.handshake(_hello_reply())
+        assert core.server_info == _hello_reply()[1]["body"]["data"]
+        assert core.server_info["versions"] == [2]
+        assert not core.binary and not core.closed
+        assert core.allocate() == 1  # the hello took id 0
+
+    @pytest.mark.parametrize(
+        "framed, complaint",
+        [
+            (None, "closed the connection"),
+            (("json", {"ok": False, "error": {"code": "x", "message": "?"}}), "protocol v2"),
+            (("binary", b"\x00"), "protocol v2"),
+            (
+                _reply(0, {"ok": False, "error": {"code": "protocol", "message": "no"}}),
+                "handshake rejected",
+            ),
+            (_reply(0, {"ok": True, "matches": [{"rid": 1}]}), "malformed reply"),
+        ],
+        ids=["eof", "no-envelope", "binary", "rejected", "malformed"],
+    )
+    def test_refused_handshakes_raise_connection_error(self, framed, complaint):
+        core = ClientConnection(LIMIT)
+        core.hello()
+        with pytest.raises(ConnectionError, match=complaint):
+            core.handshake(framed)
+        assert core.server_info is None
+
+    def test_frame_limit_clamps_down_to_the_server_never_up(self):
+        assert _client(max_frame_bytes=1024).max_frame_bytes == 1024
+        assert _client(max_frame_bytes=LIMIT * 4).max_frame_bytes == LIMIT
+
+    @pytest.mark.parametrize(
+        "offer, formats, negotiated",
+        [(True, ["json", "binary"], True), (True, ["json"], False),
+         (True, None, False), (False, ["json", "binary"], False)],
+    )
+    def test_binary_needs_the_offer_and_the_advert(self, offer, formats, negotiated):
+        assert _client(binary=offer, formats=formats).binary is negotiated
+
+
+class TestClientEncoding:
+    def test_binary_request_when_negotiated(self):
+        core = _client(binary=True)
+        request_id = core.allocate()
+        frame = core.encode(request_id, RangeQueryRequest.from_dict(RANGE))
+        shape, body = read_frame_any(io.BytesIO(frame), LIMIT)
+        assert shape == "binary"
+        assert wire.decode_request(body) == (request_id, RANGE)
+
+    def test_traced_request_falls_back_to_json(self):
+        core = _client(binary=True)
+        shape, envelope = read_frame_any(io.BytesIO(core.encode(5, RANGE, trace=True)), LIMIT)
+        assert shape == "json" and envelope["trace"] is True and envelope["id"] == 5
+
+    def test_shape_without_a_binary_form_falls_back_to_json(self):
+        core = _client(binary=True)
+        frame = core.encode(6, {"type": "admin", "action": "ping"})
+        assert read_frame_any(io.BytesIO(frame), LIMIT) == (
+            "json", request_envelope(6, {"type": "admin", "action": "ping"})
+        )
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_subscribe_asks_for_binary_deltas_only_on_a_binary_connection(self, binary):
+        frame = _client(binary=binary).encode(1, SubscribeRequest.from_dict(SUBSCRIBE))
+        shape, envelope = read_frame_any(io.BytesIO(frame), LIMIT)
+        assert shape == "json"  # subscribe has no binary request form
+        assert envelope["body"]["format"] == ("binary" if binary else None)
+
+    def test_oversized_request_is_refused_before_an_id_is_registered(self):
+        core = _client(max_frame_bytes=64)
+        request_id = core.allocate()
+        with pytest.raises(FrameTooLargeError):
+            core.encode(request_id, dict(RANGE, items=list(range(1, 100))))
+        assert core.receive(*_reply(request_id, PING_OK)) is None  # nobody waits
+        assert core.fail_all(ConnectionError("done")) == ([], [])
+
+
+class TestClientRouting:
+    def test_reply_is_routed_to_its_waiter_once(self):
+        core = _client()
+        request_id = core.allocate()
+        core.expect(request_id, "waiter")
+        routed = core.receive(*_reply(request_id, PING_OK))
+        assert routed == ("waiter", Response.from_dict(PING_OK), False)
+        assert core.receive(*_reply(request_id, PING_OK)) is None
+
+    def test_late_reply_to_an_abandoned_id_is_dropped(self):
+        core = _client()
+        request_id = core.allocate()
+        core.expect(request_id, "waiter")
+        core.abandon(request_id)
+        assert core.receive(*_reply(request_id, PING_OK)) is None
+        assert not core.closed
+
+    def test_push_to_an_unknown_id_is_dropped(self):
+        core = _client()
+        assert core.receive("json", push_envelope(42, DELTA)) is None
+
+    def test_push_reaches_the_handle_registered_with_the_subscribe(self):
+        core = _client()
+        subscription_id = core.allocate()
+        core.expect(subscription_id, "subscribe", "handle")
+        routed = core.receive("json", push_envelope(subscription_id, DELTA))
+        assert routed == ("handle", ("delta", PushDelta.from_dict(DELTA)), True)
+
+    def test_terminal_push_releases_its_subscription(self):
+        core = _client()
+        core.expect(3, "subscribe", "handle")
+        error = {"code": "subscription_overflow", "message": "slow consumer"}
+        routed = core.receive("json", push_envelope(3, {"event": EVENT_ERROR, "error": error}))
+        handle, (kind, response), push = routed
+        assert push and handle == "handle" and kind == "error"
+        assert response.error.code == "subscription_overflow"
+        assert core.release(3) is None
+        assert core.receive("json", push_envelope(3, DELTA)) is None
+
+    def test_binary_reply_and_push_are_decoded(self, database):
+        core = _client(binary=True)
+        core.expect(1, "range", "handle")
+        answer = database.session().execute(RANGE)
+        routed = core.receive("binary", wire.encode_response(1, answer.to_dict()))
+        waiter, response, push = routed
+        assert waiter == "range" and not push
+        assert response.result_bytes() == answer.result_bytes()
+        routed = core.receive("binary", wire.encode_push(1, DELTA))
+        assert routed == ("handle", ("delta", PushDelta.from_dict(DELTA)), True)
+
+    @pytest.mark.parametrize(
+        "shape, payload",
+        [
+            ("json", {"body": PING_OK}),
+            ("json", {"id": [1], "body": PING_OK}),
+            ("json", {"id": 1, "body": "not an object"}),
+            ("json", response_envelope(1, {"ok": True, "matches": [{"rid": 1}]})),
+            ("json", response_envelope(1, {"ok": False, "error": 5})),
+            ("json", push_envelope(1, {"event": EVENT_DELTA, "version": "x"})),
+            ("json", push_envelope(1, {"event": "surprise"})),
+            ("binary", b"\x00\x01 not an RBF record"),
+        ],
+        ids=["no-id", "list-id", "no-body", "reply-keyerror", "reply-bad-error",
+             "bad-delta", "unknown-event", "binary-garbage"],
+    )
+    def test_uncorrelatable_or_undecodable_frames_raise(self, shape, payload):
+        """Even for an id nobody waits on: the stream itself is untrustworthy."""
+        core = _client()
+        core.expect(1, "waiter", "handle")
+        with pytest.raises(FrameError):
+            core.receive(shape, payload)
+
+
+class TestClientTeardown:
+    def test_fail_all_returns_every_waiter_and_handle_once(self):
+        core = _client()
+        core.expect(1, "one")
+        core.expect(2, "two", "handle")
+        waiters, handles = core.fail_all(ConnectionError("connection failed: gone"))
+        assert sorted(waiters) == ["one", "two"] and handles == ["handle"]
+        assert core.closed
+        assert core.fail_all(ConnectionError("again")) == ([], [])
+        for call in (core.allocate, lambda: core.expect(3, "late")):
+            with pytest.raises(ConnectionError, match="gone"):
+                call()
+
+
+class TestInMemoryExchange:
+    @pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
+    def test_client_and_server_cores_over_bytes_match_a_session(
+        self, database, metrics, binary
+    ):
+        """hello, a range query, a subscribe and one delta — with no socket."""
+        pushed: list[bytes] = []
+        server = ServerConnection(database, LIMIT, metrics, pushed.append)
+        client = ClientConnection(LIMIT, binary=binary)
+        session = database.session()
+
+        def over_the_wire(frame: bytes):
+            reply = server.receive(*read_frame_any(io.BytesIO(frame), LIMIT))
+            assert not reply.close
+            return read_frame_any(io.BytesIO(reply.data), LIMIT)
+
+        client.handshake(over_the_wire(client.hello()))
+        assert client.binary is binary
+
+        query = RangeQueryRequest.from_dict(RANGE)
+        request_id = client.allocate()
+        client.expect(request_id, "range")
+        waiter, response, _ = client.receive(*over_the_wire(client.encode(request_id, query)))
+        assert waiter == "range"
+        assert response.result_bytes() == session.execute(query).result_bytes()
+
+        handle = Subscription(None, "updates")
+        handle.id = client.allocate()
+        client.expect(handle.id, "subscribe", handle)
+        subscribe = SubscribeRequest.from_dict(SUBSCRIBE)
+        _, snapshot, _ = client.receive(*over_the_wire(client.encode(handle.id, subscribe)))
+        handle._open(snapshot.raise_for_error())
+        standing = dict(RANGE, collection="updates")
+        assert handle.result_bytes() == Response(
+            ok=True, matches=session.execute(standing).matches
+        ).result_bytes()
+
+        session.insert([1, 2, 3, 4], collection="updates")
+        deadline = time.monotonic() + 10.0
+        while not pushed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(pushed) == 1
+        shape, push = read_frame_any(io.BytesIO(pushed[0]), LIMIT)
+        assert shape == ("binary" if binary else "json")
+        waiter, event, is_push = client.receive(shape, push)
+        assert is_push and waiter is handle
+        handle._absorb(event)
+        assert handle.get(timeout=0).entered
+        assert handle.result_bytes() == Response(
+            ok=True, matches=session.execute(standing).matches
+        ).result_bytes()
+        server.close()

@@ -17,6 +17,7 @@ The contracts under test:
 from __future__ import annotations
 
 import asyncio
+import inspect
 import socket
 import struct
 import threading
@@ -50,6 +51,7 @@ from repro.api.requests import (
     RangeQueryRequest,
     UpsertRequest,
 )
+from repro.api.surface import ConnectionSurface, ExecutorSurface
 from repro.codec import wire
 from repro.datasets.nyt import nyt_like_dataset
 from repro.datasets.queries import sample_queries
@@ -442,6 +444,93 @@ def _mixed_stream(rankings, queries) -> list:
     return requests
 
 
+class TestMalformedReplyBody:
+    """A reply body that does not decode is a protocol violation: both
+    clients fail every pending request at once and say the connection is
+    gone, instead of losing their reader and timing out one by one."""
+
+    @pytest.mark.parametrize("client_kind", ["threaded", "asyncio"])
+    @pytest.mark.parametrize(
+        "body",
+        [{"ok": True, "matches": [{"rid": 1}]}, {"ok": False, "error": 5}],
+        ids=["match-without-distance", "error-not-an-object"],
+    )
+    def test_malformed_reply_fails_the_connection_at_once(self, client_kind, body):
+        def script(stream) -> None:
+            _answer_hello(stream)
+            request = read_frame(stream)
+            write_frame(stream, response_envelope(request["id"], body))
+            while read_frame(stream) is not None:  # stay open: the client hangs up
+                pass
+
+        async def asyncio_client(address) -> None:
+            client = await AsyncClient.connect(*address, timeout=5.0)
+            with pytest.raises(ConnectionError, match="malformed reply"):
+                await client.ping()
+            assert client.closed
+            with pytest.raises(ConnectionError):
+                await client.ping()
+            await client.close()  # must not re-raise anything from the reader
+
+        fake = _ScriptedServer(script)
+        started = time.monotonic()
+        try:
+            if client_kind == "asyncio":
+                asyncio.run(asyncio_client(fake.address))
+            else:
+                client = Client(*fake.address, timeout=5.0)
+                with pytest.raises(ConnectionError, match="malformed reply"):
+                    client.ping()
+                assert client.closed
+                with pytest.raises(ConnectionError):
+                    client.ping()
+                client.close()
+        finally:
+            fake.close()
+        assert time.monotonic() - started < 4.0  # failed at once, not by timeout
+
+
+class TestConnectTimeout:
+    def test_both_clients_bound_the_connect_with_timeout(self):
+        """A listener with a full backlog never completes a connect: both
+        clients give up after ``timeout`` with the same ``TimeoutError``."""
+        listener = socket.socket()
+        fillers = []
+        try:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(0)
+            address = listener.getsockname()
+            for _ in range(8):
+                filler = socket.socket()
+                filler.setblocking(False)
+                filler.connect_ex(address)
+                fillers.append(filler)
+            started = time.monotonic()
+            try:
+                socket.create_connection(address, timeout=0.5).close()
+            except TimeoutError:
+                pass
+            if time.monotonic() - started < 0.4:
+                pytest.skip("connects to a full backlog do not stall on this platform")
+
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                Client(*address, timeout=0.5)
+            assert time.monotonic() - started < 2.0
+
+            async def scenario() -> None:
+                await asyncio.wait_for(AsyncClient.connect(*address, timeout=0.5), 4.0)
+
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                asyncio.run(scenario())
+            assert time.monotonic() - started < 2.0  # its own bound, not the outer one
+        finally:
+            for filler in fillers:
+                filler.close()
+            listener.close()
+
+
 class TestPipelinedEquivalence:
     def test_pipelined_stream_matches_sequential_execution(self, served, rankings):
         """100 deep, mixed mutations+queries, byte-identical to sequential."""
@@ -541,6 +630,64 @@ class TestAsyncClient:
             assert remote.result_bytes() == local.result_bytes()
         database.close()
 
+    #: One call per public surface verb (request builders aside).
+    VERB_ARGS = {
+        "subscribe": ([1, 2],),
+        "shutdown_server": (),
+        "range_query": ([1, 2], 0.1),
+        "knn": ([1, 2], 3),
+        "batch": ([[1, 2]], 0.1),
+        "insert": ([1, 2],),
+        "delete": (1,),
+        "upsert": (1, [1, 2]),
+        "ping": (),
+        "collections": (),
+        "create_collection": ("x", "live"),
+        "drop_collection": ("x",),
+        "stats": (),
+        "metrics": (),
+        "slow_queries": (),
+        "flush": (),
+        "compact": (),
+        "snapshot": (),
+    }
+
+    def test_every_surface_verb_is_awaitable(self):
+        """The async client inherits the whole surface through one ``_call``."""
+        builders = {"execute", "subscribe_request", "unsubscribe_request"}
+        verbs = {
+            name
+            for surface in (ExecutorSurface, ConnectionSurface)
+            for name, value in vars(surface).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert verbs - builders == set(self.VERB_ARGS)
+        client = AsyncClient(None, None)  # nothing below touches the streams
+        for name, args in self.VERB_ARGS.items():
+            pending = getattr(client, name)(*args)
+            assert inspect.isawaitable(pending), name
+            pending.close()
+
+    def test_flush_and_stats_round_trip_on_a_live_collection(self, rankings):
+        database = _make_database(rankings)
+
+        async def scenario(address):
+            async with await AsyncClient.connect(*address) as client:
+                before = await client.stats("updates")
+                await client.insert(list(range(1, K + 1)), collection="updates")
+                segment = await client.flush("updates")
+                return before, segment, await client.stats("updates")
+
+        try:
+            with AsyncDatabaseServer(database, port=0) as server:
+                before, segment, after = asyncio.run(scenario(server.address))
+            assert isinstance(segment, int)
+            assert after["layers"]["memtable"] == 0
+            assert after["layers"]["segments"] == before["layers"]["segments"] + 1
+            assert after == database.session().stats("updates")
+        finally:
+            database.close()
+
     def test_async_client_requires_v2(self, rankings):
         database = _make_database(rankings)
         fake = _FakeV1Server(database)
@@ -561,11 +708,12 @@ class TestAsyncClient:
 
         async def scenario(address):
             async with await AsyncClient.connect(*address) as client:
+                request = RangeQueryRequest(
+                    collection="news", items=list(range(1, K + 1)), theta=0.3
+                )
                 with pytest.raises(TimeoutError, match="only this request"):
                     # zero timeout: the reply cannot possibly arrive in time
-                    await client.range_query(
-                        list(range(1, K + 1)), 0.3, collection="news", timeout=0.0
-                    )
+                    await client.execute(request, timeout=0.0)
                 assert not client.closed
                 response = await client.range_query(
                     list(range(1, K + 1)), 0.3, collection="news"
