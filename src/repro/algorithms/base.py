@@ -3,18 +3,27 @@
 from __future__ import annotations
 
 import abc
+import math
+from collections.abc import Collection
 from typing import Optional
 
+import numpy as np
+
 from repro.core.distances import (
-    footrule_topk_raw,
+    footrule_block,
     max_footrule_distance,
     normalize_distance,
     unnormalize_distance,
 )
-from repro.core.errors import InvalidThresholdError
+from repro.core.errors import InvalidThresholdError, RankingSizeMismatchError
 from repro.core.ranking import Ranking, RankingSet
 from repro.core.result import SearchResult
 from repro.core.stats import PhaseTimer, SearchStats
+
+
+#: Candidates validated per kernel call: bounds the gathered item block
+#: (rows x k x 8 bytes) at ~80 KiB whatever the candidate count.
+VALIDATION_BLOCK_ROWS = 1024
 
 
 class RankingSearchAlgorithm(abc.ABC):
@@ -79,15 +88,13 @@ class RankingSearchAlgorithm(abc.ABC):
 
     def _check_query(self, query: Ranking, theta: float) -> None:
         if query.size != self.k:
-            raise InvalidThresholdError(
-                theta, f"query size {query.size} does not match indexed size {self.k}"
-            )
+            raise RankingSizeMismatchError(self.k, query.size)
         if not 0.0 <= theta < 1.0:
             raise InvalidThresholdError(theta, "theta must lie in [0, 1)")
 
     def _validate_candidates(
         self,
-        candidate_rids,
+        candidate_rids: Collection[int],
         query: Ranking,
         theta: float,
         result: SearchResult,
@@ -95,18 +102,25 @@ class RankingSearchAlgorithm(abc.ABC):
     ) -> None:
         """Compute the exact distance of each candidate and keep the qualifying ones.
 
-        Every exact evaluation is counted as one distance-function call, the
-        paper's DFC measure.
+        The candidates' rows of the item matrix are scored by
+        :func:`footrule_block`, :data:`VALIDATION_BLOCK_ROWS` at a time.  Every
+        candidate still counts as one distance-function call, the paper's DFC
+        measure.
         """
         stats = stats if stats is not None else result.stats
-        theta_raw = self.theta_raw(theta)
+        rids = np.fromiter(candidate_rids, dtype=np.int64, count=len(candidate_rids))
+        stats.distance_calls += len(rids)
+        rankings = self._rankings
+        matrix = rankings.matrix()
+        # distances are integers: the floor keeps the test in integer arithmetic
+        limit = math.floor(self.theta_raw(theta))
         maximum = max_footrule_distance(self.k)
-        for rid in candidate_rids:
-            ranking = self._rankings[rid]
-            stats.distance_calls += 1
-            separation = footrule_topk_raw(query, ranking)
-            if separation <= theta_raw:
-                result.add(rid, ranking, separation / maximum)
+        for start in range(0, len(rids), VALIDATION_BLOCK_ROWS):
+            chunk = rids[start:start + VALIDATION_BLOCK_ROWS]
+            raw = footrule_block(query, matrix[chunk])
+            keep = np.flatnonzero(raw <= limit)
+            for rid, separation in zip(chunk[keep].tolist(), raw[keep].tolist()):
+                result.add(rid, rankings[rid], separation / maximum)
 
     def _add_raw_match(self, result: SearchResult, ranking: Ranking, raw_distance: float) -> None:
         """Record a match given its raw distance."""

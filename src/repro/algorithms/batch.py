@@ -69,7 +69,6 @@ class BatchCoarseSearch:
         """
         k = self._algorithm.k
         maximum = max_footrule_distance(k)
-        theta_raw = theta * maximum
 
         query_set = RankingSet(k=k)
         for query in queries:
@@ -86,18 +85,16 @@ class BatchCoarseSearch:
         for group in groups:
             group_answer = self._algorithm.search(group.medoid, relaxed)
             total_stats.merge(group_answer.stats)
-            candidates = [(match.rid, match.ranking) for match in group_answer.matches]
+            candidates = [match.rid for match in group_answer.matches]
             for member in group.members:
                 assert member.rid is not None
                 original_query = queries[member.rid]
                 member_result = SearchResult(
                     query=original_query, theta=theta, algorithm="BatchCoarse"
                 )
-                for rid, ranking in candidates:
-                    member_result.stats.distance_calls += 1
-                    separation = footrule_topk_raw(original_query, ranking)
-                    if separation <= theta_raw:
-                        member_result.add(rid, ranking, separation / maximum)
+                self._algorithm._validate_candidates(
+                    candidates, original_query, theta, member_result
+                )
                 member_result.finalize()
                 total_stats.merge(member_result.stats)
                 results_by_position[member.rid] = member_result

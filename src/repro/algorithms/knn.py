@@ -25,7 +25,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.distances import footrule_topk_raw, max_footrule_distance
+import numpy as np
+
+from repro.core.distances import footrule_block, footrule_topk_raw, max_footrule_distance
 from repro.core.ranking import Ranking, RankingSet
 from repro.core.stats import SearchStats
 from repro.metric.bktree import BKTree
@@ -73,13 +75,14 @@ def exact_local_top(
     if len(result) >= target:
         top = [(match.distance, match.rid) for match in list(result)[:target]]
     else:
+        stats.distance_calls += len(rankings)
+        raw = footrule_block(query, rankings.matrix())
+        nearest = np.argsort(raw, kind="stable")[:target]  # ties: lower rid first
         maximum = max_footrule_distance(rankings.k)
-        entries = []
-        for local_rid, ranking in enumerate(rankings):
-            stats.distance_calls += 1
-            raw = footrule_topk_raw(query, ranking)
-            entries.append((raw / maximum, local_rid))
-        top = heapq.nsmallest(target, entries)
+        top = [
+            (separation / maximum, rid)
+            for separation, rid in zip(raw[nearest].tolist(), nearest.tolist())
+        ]
     return top, stats
 
 
@@ -120,21 +123,17 @@ class BruteForceKNN:
         if n_neighbours <= 0:
             raise ValueError(f"n_neighbours must be positive, got {n_neighbours}")
         stats = SearchStats()
+        stats.distance_calls += len(self._rankings)
+        raw = footrule_block(query, self._rankings.matrix())
+        rids = np.arange(len(raw))
+        # ties at the cut go to the higher rid, then the n sort by (distance, rid)
+        kept = np.lexsort((-rids, raw))[:n_neighbours]
+        kept = kept[np.lexsort((kept, raw[kept]))]
         maximum = max_footrule_distance(self._rankings.k)
-        heap: list[tuple[float, int]] = []  # max-heap by negated distance
-        for ranking in self._rankings:
-            stats.distance_calls += 1
-            separation = footrule_topk_raw(query, ranking)
-            assert ranking.rid is not None
-            entry = (-separation, ranking.rid)
-            if len(heap) < n_neighbours:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
-        neighbours = sorted(
-            Neighbour(distance=-negated / maximum, rid=rid, ranking=self._rankings[rid])
-            for negated, rid in heap
-        )
+        neighbours = [
+            Neighbour(distance=separation / maximum, rid=rid, ranking=self._rankings[rid])
+            for separation, rid in zip(raw[kept].tolist(), kept.tolist())
+        ]
         return KnnResult(query=query, neighbours=neighbours, stats=stats)
 
 

@@ -14,7 +14,9 @@ error rather than silently falling back to a slow path.
 
 from __future__ import annotations
 
-from repro.core.distances import footrule_topk_raw, max_footrule_distance
+import numpy as np
+
+from repro.core.distances import footrule_block
 from repro.core.errors import ReproError
 from repro.core.ranking import Ranking, RankingSet
 from repro.core.result import SearchResult
@@ -48,12 +50,8 @@ class MinimalFilterValidate(RankingSearchAlgorithm):
         Returns the number of true results.  The brute-force scan performed
         here is offline work and intentionally bypasses the search counters.
         """
-        theta_raw = theta * max_footrule_distance(self.k)
-        rids = [
-            ranking.rid
-            for ranking in self._rankings
-            if ranking.rid is not None and footrule_topk_raw(query, ranking) <= theta_raw
-        ]
+        raw = footrule_block(query, self._rankings.matrix())
+        rids = np.flatnonzero(raw <= self.theta_raw(theta)).tolist()
         self._materialised[self._key(query, theta)] = rids
         return len(rids)
 

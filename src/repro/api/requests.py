@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Optional, Union
 
 from repro.core.errors import InvalidRequestError
-from repro.core.ranking import Ranking
+from repro.core.ranking import ITEM_ID_MAX, ITEM_ID_MIN, Ranking
 
 #: Name of the collection used when a request does not specify one.
 DEFAULT_COLLECTION = "default"
@@ -99,14 +99,21 @@ def _require_str(value: Any, field: str) -> str:
 
 
 def coerce_items(value: Any, field: str = "items") -> tuple[int, ...]:
-    """Validate one ranked item list (a ranking's worth of integer ids)."""
+    """Validate one ranked item list (a ranking's worth of signed 64-bit ids)."""
     if isinstance(value, Ranking):
-        return value.items
+        value = value.items
     if not isinstance(value, (list, tuple)):
         raise InvalidRequestError(f"{field} must be a list of item ids, got {value!r}")
     if not value:
         raise InvalidRequestError(f"{field} must not be empty")
-    return tuple(_require_int(item, f"{field}[{position}]") for position, item in enumerate(value))
+    items = tuple(value)
+    for position, item in enumerate(items):
+        if type(item) is not int or not ITEM_ID_MIN <= item <= ITEM_ID_MAX:
+            name = f"{field}[{position}]"  # built only for an item that may be refused
+            _require_int(item, name)
+            if not ITEM_ID_MIN <= item <= ITEM_ID_MAX:
+                raise InvalidRequestError(f"{name} must fit a signed 64-bit integer, got {item!r}")
+    return items
 
 
 def _validate_wal_record(entry: Any, field: str) -> dict:

@@ -41,6 +41,7 @@ __all__ = [
     "encode_f64",
     "encode_i64",
     "encode_matrix",
+    "matrix_parts",
     "using_numpy",
 ]
 
@@ -122,20 +123,32 @@ def decode_f64(buffer: bytes, offset: int = 0) -> tuple[list[float], int]:
     return values, offset + COUNT.size + count * 8
 
 
-def encode_matrix(rows: Sequence[Sequence[int]]) -> bytes:
-    """Encode ``n`` uniform-width i64 rows as an ``n x k`` matrix block.
+def matrix_parts(rows: Sequence[Sequence[int]]) -> tuple[bytes, bytes | memoryview]:
+    """The two byte runs of :func:`encode_matrix`: header, then the packed values.
 
-    Rows must share one width ``k`` (rankings in a collection do by
-    construction); an empty matrix stores ``k = 0``.
+    Kept apart so a caller that frames the matrix with more columns can join
+    everything once.  Rows must share one width ``k`` (rankings in a
+    collection do by construction); an empty matrix stores ``k = 0``.  A
+    two-dimensional numpy array (a :meth:`RankingSet.matrix`) is packed as
+    it stands, without a copy.
     """
     n = len(rows)
     k = len(rows[0]) if n else 0
+    header = MATRIX_HEADER.pack(n, k)
+    if _numpy is not None and isinstance(rows, _numpy.ndarray):
+        return header, rows.astype("<i8", order="C", copy=False).data
     flat: list[int] = []
     for row in rows:
         if len(row) != k:
             raise ValueError(f"ragged matrix: row of {len(row)} items, expected {k}")
         flat.extend(row)
-    return MATRIX_HEADER.pack(n, k) + _pack_values(flat, "q", "<i8")
+    return header, _pack_values(flat, "q", "<i8")
+
+
+def encode_matrix(rows: Sequence[Sequence[int]]) -> bytes:
+    """Encode ``n`` uniform-width i64 rows as an ``n x k`` matrix block."""
+    header, values = matrix_parts(rows)
+    return header + values
 
 
 def decode_matrix(buffer: bytes, offset: int = 0) -> tuple[list[list[int]], int]:

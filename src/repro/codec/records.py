@@ -29,7 +29,7 @@ import json
 import struct
 from typing import Iterable, Optional, Sequence
 
-from repro.codec.columns import decode_i64, decode_matrix, encode_i64, encode_matrix
+from repro.codec.columns import decode_i64, decode_matrix, encode_i64, matrix_parts
 from repro.codec.rbf import CorruptRecordError
 
 __all__ = [
@@ -129,7 +129,7 @@ def encode_run_payload(keys: Sequence[int], rows: Sequence[Sequence[int]]) -> by
     """Encode one immutable run (``KIND_RUN``): keys column + items matrix."""
     if len(keys) != len(rows):
         raise ValueError(f"{len(keys)} keys but {len(rows)} rows")
-    return encode_i64(keys) + encode_matrix(rows)
+    return b"".join((encode_i64(keys), *matrix_parts(rows)))
 
 
 def decode_run_payload(payload: bytes) -> tuple[list[int], list[list[int]]]:

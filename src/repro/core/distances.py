@@ -8,6 +8,22 @@ the largest possible value is ``k * (k + 1)``, attained by two disjoint
 rankings, and all public thresholds in the library are expressed on the
 normalised scale ``[0, 1]`` obtained by dividing by this maximum.
 
+Validation runs on :func:`footrule_block`, which scores a whole block of
+stored rankings (rows of a :meth:`RankingSet.matrix`) at once through the
+**gain identity**.  Two disjoint lists are ``k * (k + 1)`` apart, and an item
+shared at rank ``r`` in the query and rank ``j`` in the stored list lowers
+that by its gain ``(k - r) + (k - j) - |r - j| = 2 * (k - max(r, j))``, so::
+
+    d(q, tau) = k * (k + 1) - sum_r sum_j [tau_j == q_r] * G[r, j],
+    G[r, j] = 2 * (k - max(r, j))
+
+Only shared items contribute, and ``G[r, j]`` depends on ``max(r, j)``
+alone, so the kernel records ``max(r, j)`` per stored cell (``k`` — a zero
+gain — for an item the query lacks) with one equality test per query rank,
+and needs no rank map.  :func:`footrule_topk_raw`, the
+item-at-a-time definition, stays as the reference the kernel is tested
+against and serves the metric structures that compare single pairs.
+
 Kendall's tau (with the optimistic ``p = 0`` handling of item pairs missing
 from both lists) is provided as well so the metric-generic parts of the
 library (coarse index, metric trees) can be exercised with a second distance.
@@ -18,8 +34,10 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import Callable
 
+import numpy as np
+
 from repro.core.errors import RankingSizeMismatchError
-from repro.core.ranking import Ranking
+from repro.core.ranking import Ranking, is_item_id
 
 DistanceFunction = Callable[[Ranking, Ranking], float]
 
@@ -74,16 +92,52 @@ def footrule_topk_raw(tau1: Ranking, tau2: Ranking) -> int:
     """Raw (integer) Footrule distance between two top-k lists.
 
     Missing items take the artificial rank ``l = k``.  The result lies in
-    ``[0, k * (k + 1)]``.
+    ``[0, k * (k + 1)]``.  Ranks are found by scanning the two item tuples,
+    which at top-k sizes is cheaper than building either ranking's rank map.
     """
     k = _check_same_size(tau1, tau2)
+    items1, items2 = tau1.items, tau2.items
     distance = 0
-    for item in tau1.items:
-        distance += abs(tau1.rank_of(item) - tau2.rank_of(item, default=k))
-    for item in tau2.items:
-        if item not in tau1:
-            distance += abs(tau2.rank_of(item) - k)
+    for rank, item in enumerate(items1):
+        if item in items2:
+            distance += abs(rank - items2.index(item))
+        else:
+            distance += k - rank
+    for rank, item in enumerate(items2):
+        if item not in items1:
+            distance += k - rank
     return distance
+
+
+def _gain(k: int, top: np.ndarray) -> np.ndarray:
+    """Per row, the gain identity's sum ``sum_j 2 * (k - top[:, j])``."""
+    return 2 * (k * k - top.sum(axis=1, dtype=np.int64))
+
+
+def footrule_block(query: Ranking, block: np.ndarray) -> np.ndarray:
+    """Raw Footrule distance from ``query`` to every row of ``block``.
+
+    ``block`` is a ``(c, k)`` i64 item matrix (rows of
+    :meth:`RankingSet.matrix`); the result is a ``(c,)`` i64 array equal,
+    row for row, to :func:`footrule_topk_raw`.  Computed with the gain
+    identity in the module docstring: ``top[i, j]`` collects
+    ``max(r, j)`` for the query rank ``r`` of ``block[i, j]`` — ``k``, a
+    zero gain, when the query lacks it — from one ``(c, k)`` bool slice per
+    query rank, so the only temporaries are two ``(c, k)`` byte arrays.  A
+    query item that is not an i64 integer id matches no stored item.
+    """
+    count, k = block.shape
+    if query.size != k:
+        raise RankingSizeMismatchError(k, query.size)
+    positions = np.arange(k, dtype=np.min_scalar_type(k))  # the narrowest dtype holding k
+    top = np.full(block.shape, k, dtype=positions.dtype)
+    hits = np.empty(block.shape, dtype=bool)
+    for rank, item in enumerate(query.items):
+        if is_item_id(item):
+            np.equal(block, item, out=hits)
+            np.copyto(top, rank, where=hits)
+    np.maximum(top, positions, out=top)
+    return max_footrule_distance(k) - _gain(k, top)
 
 
 def footrule_topk(tau1: Ranking, tau2: Ranking) -> float:

@@ -9,23 +9,49 @@ the artificial rank ``l = k`` when distances are computed.
 Two classes are provided:
 
 ``Ranking``
-    An immutable, hashable ranking with O(1) rank lookup.
+    An immutable, hashable ranking with O(1) rank lookup.  The item -> rank
+    map behind that lookup is built on first use: the validation kernel
+    reads a collection's item matrix and :func:`footrule_topk_raw` scans the
+    item tuples, so a stored ranking that is only ever compared never pays
+    for the map.
 
 ``RankingSet``
     A collection of rankings of uniform size ``k`` with stable integer ids,
-    the unit that all indices in this library are built over.
+    the unit that all indices in this library are built over.  Its
+    :meth:`RankingSet.matrix` is the ``(n, k)`` i64 item matrix the kernel
+    runs on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from numbers import Integral
 from typing import Optional
+
+import numpy as np
 
 from repro.core.errors import (
     DuplicateItemError,
     InvalidRankingError,
     RankingSizeMismatchError,
 )
+
+#: Item ids are signed 64-bit integers wherever they are stored: the item
+#: matrix, the WAL, run files and the wire.
+ITEM_ID_MIN, ITEM_ID_MAX = -(2**63), 2**63 - 1
+
+
+def is_item_id(item: object) -> bool:
+    """Whether ``item`` is an integer that fits a signed 64-bit item id."""
+    integral = type(item) is int or isinstance(item, Integral)
+    return integral and ITEM_ID_MIN <= item <= ITEM_ID_MAX
+
+
+def check_item_ids(items: Iterable[object]) -> None:
+    """Raise :class:`InvalidRankingError` naming the first item that is not an i64 id."""
+    for item in items:
+        if not is_item_id(item):
+            raise InvalidRankingError(f"item {item!r} is not a signed 64-bit integer id")
 
 
 class Ranking:
@@ -58,14 +84,21 @@ class Ranking:
         items_tuple = tuple(items)
         if not items_tuple:
             raise InvalidRankingError("a ranking must contain at least one item")
-        ranks: dict[int, int] = {}
-        for position, item in enumerate(items_tuple):
-            if item in ranks:
-                raise DuplicateItemError(item)
-            ranks[item] = position
+        if len(set(items_tuple)) < len(items_tuple):
+            raise DuplicateItemError(
+                next(item for i, item in enumerate(items_tuple) if item in items_tuple[:i])
+            )
         self._items = items_tuple
-        self._ranks = ranks
+        self._ranks: Optional[dict[int, int]] = None
         self._rid = rid
+
+    def _rank_map(self) -> dict[int, int]:
+        """The item -> rank map, built on first use and then kept."""
+        ranks = self._ranks
+        if ranks is None:
+            ranks = {item: position for position, item in enumerate(self._items)}
+            self._ranks = ranks
+        return ranks
 
     # -- basic accessors ---------------------------------------------------
 
@@ -87,7 +120,7 @@ class Ranking:
     @property
     def domain(self) -> frozenset[int]:
         """The set of items contained in the ranking (``D_tau``)."""
-        return frozenset(self._ranks)
+        return frozenset(self._items)
 
     def rank_of(self, item: int, default: Optional[int] = None) -> int:
         """Return the rank of ``item`` (0 = best).
@@ -97,12 +130,13 @@ class Ranking:
         ``default=self.size`` yields the paper's convention ``tau(i) = l = k``
         for missing items.
         """
+        ranks = self._ranks or self._rank_map()
         if default is None:
-            return self._ranks[item]
-        return self._ranks.get(item, default)
+            return ranks[item]
+        return ranks.get(item, default)
 
     def __contains__(self, item: object) -> bool:
-        return item in self._ranks
+        return item in (self._ranks or self._rank_map())
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._items)
@@ -115,15 +149,16 @@ class Ranking:
 
     def rank_map(self) -> Mapping[int, int]:
         """A read-only view of the item -> rank mapping."""
-        return dict(self._ranks)
+        return dict(self._rank_map())
 
     # -- relations between rankings ----------------------------------------
 
     def overlap(self, other: "Ranking") -> int:
         """Number of items shared with ``other``."""
-        if len(self._ranks) > len(other._ranks):
+        if len(self._items) > len(other._items):
             return other.overlap(self)
-        return sum(1 for item in self._ranks if item in other._ranks)
+        ranks = other._rank_map()
+        return sum(1 for item in self._items if item in ranks)
 
     def with_rid(self, rid: int) -> "Ranking":
         """Return a copy of this ranking carrying the given id."""
@@ -148,6 +183,25 @@ class Ranking:
         return f"Ranking({list(self._items)!r}{rid})"
 
 
+def item_matrix(rows: Sequence[Sequence[int]], k: int) -> np.ndarray:
+    """Stack ``rows`` of ``k`` item ids into a read-only ``(len(rows), k)`` i64 array.
+
+    Raises :class:`InvalidRankingError` naming the first item that is not a
+    signed 64-bit integer id (numpy would otherwise truncate a float, parse a
+    numeric string, or fail with an ``OverflowError``).
+    """
+    if not rows:
+        matrix = np.empty((0, k), dtype=np.int64)
+    else:
+        matrix = np.array(rows)
+        if matrix.dtype != np.int64:
+            for row in rows:
+                check_item_ids(row)
+            matrix = matrix.astype(np.int64)
+    matrix.flags.writeable = False
+    return matrix
+
+
 class RankingSet:
     """A collection of rankings of uniform size ``k`` with dense integer ids.
 
@@ -166,8 +220,13 @@ class RankingSet:
     """
 
     def __init__(self, k: Optional[int] = None) -> None:
+        if k is not None:
+            if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+                raise InvalidRankingError(f"ranking size k must be a positive integer, got {k!r}")
+            k = int(k)
         self._rankings: list[Ranking] = []
         self._k = k
+        self._matrix: Optional[np.ndarray] = None
 
     # -- construction --------------------------------------------------------
 
@@ -184,21 +243,22 @@ class RankingSet:
         """Build a ranking set from existing :class:`Ranking` objects."""
         ranking_set = cls()
         for ranking in rankings:
-            ranking_set.add(ranking.items)
+            ranking_set.add(ranking)
         return ranking_set
 
     def add(self, items: Sequence[int] | Ranking) -> Ranking:
         """Add one ranking and return the stored (id-carrying) copy."""
+        rid = len(self._rankings)
         if isinstance(items, Ranking):
-            candidate = items
+            stored = items.with_rid(rid)
         else:
-            candidate = Ranking(items)
+            stored = Ranking(items, rid)
         if self._k is None:
-            self._k = candidate.size
-        elif candidate.size != self._k:
-            raise RankingSizeMismatchError(self._k, candidate.size)
-        stored = candidate.with_rid(len(self._rankings))
+            self._k = stored.size
+        elif stored.size != self._k:
+            raise RankingSizeMismatchError(self._k, stored.size)
         self._rankings.append(stored)
+        self._matrix = None
         return stored
 
     # -- accessors ------------------------------------------------------------
@@ -214,6 +274,19 @@ class RankingSet:
     def rankings(self) -> Sequence[Ranking]:
         """The stored rankings, indexable by ranking id."""
         return self._rankings
+
+    def matrix(self) -> np.ndarray:
+        """The ``(n, k)`` i64 item matrix, row ``rid`` holding ranking ``rid``.
+
+        Built on first use and cached until the next :meth:`add`; the array
+        is read-only.  Raises :class:`InvalidRankingError` naming the first
+        item that is not a signed 64-bit integer id.
+        """
+        matrix = self._matrix
+        if matrix is None:
+            matrix = item_matrix([ranking.items for ranking in self._rankings], self.k)
+            self._matrix = matrix
+        return matrix
 
     def item_domain(self) -> set[int]:
         """The union of all item ids appearing in the collection."""

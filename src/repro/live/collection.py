@@ -55,7 +55,7 @@ from repro.core.errors import (
     RankingSizeMismatchError,
     UnknownKeyError,
 )
-from repro.core.ranking import Ranking, RankingSet
+from repro.core.ranking import Ranking, RankingSet, check_item_ids
 from repro.core.result import SearchResult
 from repro.core.stats import SearchStats
 from repro.algorithms.knn import KnnResult, Neighbour
@@ -706,7 +706,9 @@ class LiveCollection:
 
     @staticmethod
     def _coerce(items: Union[Ranking, list[int], tuple[int, ...]]) -> Ranking:
-        return items if isinstance(items, Ranking) else Ranking(items)
+        ranking = items if isinstance(items, Ranking) else Ranking(items)
+        check_item_ids(ranking.items)
+        return ranking
 
     def _check_size(self, ranking: Ranking) -> None:  # holds: _lock
         if self._k is not None and ranking.size != self._k:

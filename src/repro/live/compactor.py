@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 
 import time
 
-from repro.core.ranking import RankingSet
+from repro.core.ranking import Ranking, RankingSet
 from repro.live.manifest import base_filename, write_run
 from repro.obs import names as metric_names
 from repro.obs.metrics import get_registry
@@ -153,20 +153,19 @@ class Compactor:
             if not segments and base_dead == 0:
                 return False  # nothing to merge, nothing to reclaim
         # 2. merge + rebuild outside the lock (mutations/queries keep flowing)
-        merged: list[tuple[int, object]] = []
+        merged: dict[int, Ranking] = {}  # key -> live ranking, no per-row pair objects
         if base is not None:
             for rid, key in enumerate(base_keys):
                 if ("base", base_epoch, rid) not in tombstones:
-                    merged.append((key, base.rankings[rid]))
+                    merged[key] = base.rankings[rid]
         for segment_id, segment in segments.items():
             for local_rid, key in enumerate(segment.keys):
                 if ("seg", segment_id, local_rid) not in tombstones:
-                    merged.append((key, segment.rankings[local_rid]))
-        merged.sort(key=lambda entry: entry[0])
-        new_keys = tuple(key for key, _ in merged)
+                    merged[key] = segment.rankings[local_rid]
+        new_keys = tuple(sorted(merged))
         new_epoch = base_epoch + 1  # only compaction bumps it, one run at a time
         if merged:
-            rankings = RankingSet.from_rankings(ranking for _, ranking in merged)
+            rankings = RankingSet.from_rankings(merged[key] for key in new_keys)
             new_base: Optional[ShardedIndex] = ShardedIndex.build(
                 rankings, num_shards=collection._num_shards
             )

@@ -89,8 +89,7 @@ def write_run(path: Path, keys: tuple[int, ...], rankings: RankingSet) -> None:
     exactly, dead rows and all.  It is one zlib-packed columnar RBF record
     (runs are cold data — write once, read on recovery).
     """
-    rows = [list(rankings[rid].items) for rid in range(len(rankings))]
-    record = pack_record(KIND_RUN, encode_run_payload(keys, rows), compress=True)
+    record = pack_record(KIND_RUN, encode_run_payload(keys, rankings.matrix()), compress=True)
     atomic_write_bytes(path, record)
 
 

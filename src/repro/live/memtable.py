@@ -23,11 +23,17 @@ from collections.abc import Iterator, Sequence
 from typing import Optional
 
 from repro.core.distances import (
-    footrule_topk_raw,
+    footrule_block,
     max_footrule_distance,
     unnormalize_distance,
 )
-from repro.core.ranking import Ranking
+from repro.core.ranking import Ranking, item_matrix
+
+
+def _raw_distances(entries: Sequence[tuple[int, Ranking]], query: Ranking) -> list[int]:
+    """Raw Footrule distance of every entry to the query, from one kernel call."""
+    block = item_matrix([ranking.items for _, ranking in entries], query.size)
+    return footrule_block(query, block).tolist()
 
 
 def scan_entries(
@@ -46,11 +52,11 @@ def scan_entries(
     k = query.size
     theta_raw = unnormalize_distance(theta, k)
     maximum = max_footrule_distance(k)
-    matches = []
-    for key, ranking in entries:
-        raw = footrule_topk_raw(query, ranking)
-        if raw <= theta_raw:
-            matches.append((raw / maximum, key, ranking))
+    matches = [
+        (raw / maximum, key, ranking)
+        for raw, (key, ranking) in zip(_raw_distances(entries, query), entries)
+        if raw <= theta_raw
+    ]
     matches.sort(key=lambda match: match[:2])
     return matches
 
@@ -63,8 +69,8 @@ def top_entries(
         return []
     maximum = max_footrule_distance(query.size)
     scored = (
-        (footrule_topk_raw(query, ranking) / maximum, key, ranking)
-        for key, ranking in entries
+        (raw / maximum, key, ranking)
+        for raw, (key, ranking) in zip(_raw_distances(entries, query), entries)
     )
     return heapq.nsmallest(n, scored, key=lambda entry: entry[:2])
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,7 +101,7 @@ class _Build:
 
     version: int
     shards: tuple[RankingSet, ...]
-    global_rids: tuple[tuple[int, ...], ...]
+    global_rids: tuple[Sequence[int], ...]
 
     @property
     def num_shards(self) -> int:
@@ -109,12 +110,15 @@ class _Build:
 
 def _partition_round_robin(rankings: RankingSet, num_shards: int, version: int) -> _Build:
     """Split ``rankings`` into ``num_shards`` sets plus local-to-global id maps."""
+    if num_shards == 1:
+        # one shard is the collection itself: no second copy of every row
+        return _Build(version=version, shards=(rankings,), global_rids=(range(len(rankings)),))
     shards = [RankingSet(k=rankings.k) for _ in range(num_shards)]
     global_rids: list[list[int]] = [[] for _ in range(num_shards)]
     for ranking in rankings:
         assert ranking.rid is not None
         shard = ranking.rid % num_shards
-        shards[shard].add(ranking.items)
+        shards[shard].add(ranking)
         global_rids[shard].append(ranking.rid)
     return _Build(
         version=version,

@@ -124,10 +124,10 @@ class TestCommonBehaviour:
             algorithm.search(nyt_queries[0], -0.1)
 
     def test_rejects_query_of_wrong_size(self, name, algorithms_nyt):
-        from repro.core.errors import InvalidThresholdError
+        from repro.core.errors import RankingSizeMismatchError
 
         algorithm = algorithms_nyt[name]
-        with pytest.raises(InvalidThresholdError):
+        with pytest.raises(RankingSizeMismatchError):
             algorithm.search(Ranking([1, 2, 3]), 0.1)
 
     def test_stats_total_time_recorded(self, name, algorithms_nyt, nyt_queries):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import InvalidRequestError, UnknownKeyError
+from repro.core.errors import InvalidRankingError, InvalidRequestError, UnknownKeyError
 from repro.core.ranking import Ranking, RankingSet
 from repro.live import LiveQueryEngine
 from repro.service import EngineResponse, EngineStats, QueryEngine, QueryStats
@@ -127,6 +127,27 @@ class TestMutationDispatch:
         response = session.execute({"type": "insert", "collection": "updates", "items": [1, 2]})
         assert not response.ok
         assert response.error.code == "invalid_request"
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"type": "insert", "collection": "updates"},
+            {"type": "upsert", "collection": "updates", "key": 0},
+            {"type": "range", "collection": "news", "theta": THETA},
+            {"type": "knn", "collection": "updates", "k": 3},
+        ],
+    )
+    def test_item_outside_int64_is_an_invalid_request_naming_the_field(self, session, request_):
+        # it used to reach the WAL encoder and come back as internal: OverflowError
+        items = [1, 2, 3, 4, 5, 6, 2**70, 8]
+        response = session.execute({**request_, "items": items})
+        assert not response.ok
+        assert response.error.code == "invalid_request"
+        assert "items[6]" in response.error.message
+
+    def test_live_collection_refuses_item_outside_int64_in_process(self, database):
+        with pytest.raises(InvalidRankingError, match=str(2**70)):
+            database.engine("updates").insert([1, 2, 3, 4, 5, 6, 2**70, 8])
 
 
 class TestErrorsAndLifecycle:

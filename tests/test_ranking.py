@@ -88,6 +88,17 @@ class TestRanking:
     def test_repr_contains_items(self):
         assert "[1, 2, 3]" in repr(Ranking([1, 2, 3]))
 
+    def test_rank_map_is_built_on_first_lookup(self):
+        ranking = Ranking([4, 5, 6])
+        assert ranking._ranks is None  # a ranking that is only validated never builds it
+        assert ranking.domain == {4, 5, 6} and ranking._ranks is None
+        assert 5 in ranking and ranking.rank_of(6) == 2
+        assert ranking._ranks == {4: 0, 5: 1, 6: 2}
+
+    def test_duplicate_named_without_a_rank_map(self):
+        with pytest.raises(DuplicateItemError, match="item 7"):
+            Ranking([7, 8, 9, 7])
+
 
 class TestRankingSet:
     def test_from_lists_assigns_dense_ids(self):
@@ -148,6 +159,12 @@ class TestRankingSet:
         stored = rankings.add([5, 6])
         assert stored.rid == 0
         assert stored.items == (5, 6)
+
+    @pytest.mark.parametrize("k", [[[1, 2, 3], [4, 5, 6]], 2.0, "3", True, 0, -1])
+    def test_k_that_is_not_a_positive_int_rejected(self, k):
+        # RankingSet([[1, 2, 3], [4, 5, 6]]) used to be an empty set whose k was the list
+        with pytest.raises(InvalidRankingError, match="ranking size k"):
+            RankingSet(k)
 
     def test_repr_mentions_size(self):
         rankings = RankingSet.from_lists([[1, 2]])
